@@ -73,6 +73,12 @@ class FiniteAlgebra:
                         f"algebra {self.name!r}: {sym}{args} -> {table[args]}"
                         " is outside the universe"
                     )
+            for args in table:
+                if len(args) != rank or not elems.issuperset(args):
+                    raise AlgebraSpecError(
+                        f"algebra {self.name!r}: row {sym}{args} has an argument"
+                        " outside the universe"
+                    )
 
     def apply(self, symbol: str, args: tuple[Element, ...]) -> Element:
         return self.tables[symbol][args]
@@ -94,6 +100,10 @@ class Mapping:
             if e not in self.table:
                 raise AlgebraSpecError(f"mapping {self.name!r}: no image for {e!r}")
         for e, v in self.table.items():
+            if e not in self.source.index:
+                raise AlgebraSpecError(
+                    f"mapping {self.name!r}: {e!r} is not an element of the source"
+                )
             if v not in self.target.index:
                 raise AlgebraSpecError(
                     f"mapping {self.name!r}: image {v!r} outside target universe"

@@ -1,9 +1,11 @@
 """Command line interface.
 
 Subcommands operate on algebra spec files (or bundled algebra names) and
-print either human-readable text or stable machine-readable lines.  Exit
-codes: 0 when the queried relation holds or all checks pass, 1 when it
-fails or a counterexample exists, 2 on usage or input errors.
+print either human-readable text (``--format human``) or stable
+machine-readable lines (``--format machine``).  Exit codes: 0 when the
+queried relation holds or all checks pass, 1 when it fails or a
+counterexample exists, 2 on usage or input errors, 3 when the clone
+exceeds ``--class-cap`` before it saturates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import sys
 
 from .algebras import AlgebraSpecError, FiniteAlgebra, parse_spec_file
-from .clone import Bounds, PairContext, build_pair_context
+from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
 from .proportion_rw import jus_set, proportion_rw, solve_rw
 from .proportion_sim import arrow_up_set, proportion_sim, solve_sim
 from .similarity import similar
@@ -259,7 +261,6 @@ def _add_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--competitors", choices=["literal", "all"], default=default("literal")
     )
     parser.add_argument("--format", choices=["human", "machine"], default=default("human"))
-    parser.add_argument("--seed", type=int, default=default(0))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -303,10 +304,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, "aprop: bounds must be positive\n")
     try:
         return args.func(args)
-    except (AlgebraSpecError, TermSyntaxError, KeyError, OSError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (AlgebraSpecError, TermSyntaxError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 from .algebras import Element, FiniteAlgebra
 from .terms import App, Term, Var
@@ -59,9 +60,17 @@ class DenotationClass:
     # variable-occurrence set -> minimal witness term with that occurrence set
     witnesses: dict[frozenset[int], Term] = field(default_factory=dict)
 
+    @cached_property
+    def supports(self) -> tuple[tuple[frozenset[int], Term], ...]:
+        """(occurrence set, witness) pairs, smallest witness key first.
+
+        Fixed on first read, so it is read only once the clone is built.
+        """
+        return tuple(sorted(self.witnesses.items(), key=lambda item: item[1].key))
+
     @property
     def witness(self) -> Term:
-        return min(self.witnesses.values(), key=lambda t: (t.depth(), str(t)))
+        return self.supports[0][1]
 
     @cached_property
     def image_a(self) -> frozenset[Element]:
@@ -70,10 +79,6 @@ class DenotationClass:
     @cached_property
     def image_b(self) -> frozenset[Element]:
         return frozenset(self.table_b)
-
-    @property
-    def var_supports(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.witnesses)
 
 
 @dataclass
@@ -84,10 +89,6 @@ class CloneResult:
     classes: list[DenotationClass]
     saturated: bool
     depth_reached: int
-
-
-def _better(t1: Term, t2: Term) -> Term:
-    return min(t1, t2, key=lambda t: (t.depth(), str(t)))
 
 
 def generate_clone(
@@ -110,8 +111,9 @@ def generate_clone(
     assigns_b = list(itertools.product(alg_b.universe, repeat=v))
 
     classes: dict[tuple, DenotationClass] = {}
-    # expansion items: (class key, occurrence set)
-    def add(table_a, table_b, support: frozenset[int], term: Term, depth: int) -> bool:
+
+    def record(table_a, table_b, support: frozenset[int], term: Term, depth: int) -> bool:
+        """Record a term; True when its (table, occurrence set) is new."""
         key = (table_a, table_b)
         cls = classes.get(key)
         if cls is None:
@@ -121,62 +123,70 @@ def generate_clone(
                 )
             classes[key] = DenotationClass(table_a, table_b, depth, {support: term})
             return True
-        if support not in cls.witnesses:
+        known = cls.witnesses.get(support)
+        if known is None:
             cls.witnesses[support] = term
             return True
-        cls.witnesses[support] = _better(cls.witnesses[support], term)
+        if term.key < known.key:
+            cls.witnesses[support] = term
         return False
 
+    # expansion items: (class key, occurrence set)
     frontier: list[tuple[tuple, frozenset[int]]] = []
     for i in range(v):
         ta = tuple(o[i] for o in assigns_a)
         tb = tuple(o[i] for o in assigns_b)
-        add(ta, tb, frozenset([i]), Var(i), 0)
+        record(ta, tb, frozenset([i]), Var(i), 0)
         frontier.append(((ta, tb), frozenset([i])))
     for sym, rank in alg_a.language.symbols:
         if rank == 0:
-            ta = tuple(alg_a.apply(sym, ()) for _ in assigns_a)
-            tb = tuple(alg_b.apply(sym, ()) for _ in assigns_b)
-            if add(ta, tb, frozenset(), App(sym), 0):
-                frontier.append((((ta, tb)), frozenset()))
+            ta = (alg_a.apply(sym, ()),) * len(assigns_a)
+            tb = (alg_b.apply(sym, ()),) * len(assigns_b)
+            if record(ta, tb, frozenset(), App(sym), 0):
+                frontier.append(((ta, tb), frozenset()))
 
     depth = 0
     saturated = False
     while True:
         if bounds.max_depth is not None and depth >= bounds.max_depth:
             break
-        items = [(key, sup) for key, cls in classes.items() for sup in cls.witnesses]
+        # Each child is (table_a, table_b, occurrence set, witness, depth),
+        # read before this level commits anything.
         frontier_set = set(frontier)
-        new_frontier: list[tuple[tuple, frozenset[int]]] = []
-        candidates: list[tuple[tuple, tuple, frozenset[int], Term]] = []
+        fresh, old = [], []
+        for key, cls in classes.items():
+            for sup, term in cls.witnesses.items():
+                item = (key[0], key[1], sup, term, term.depth())
+                (fresh if (key, sup) in frontier_set else old).append(item)
+        every = old + fresh
+        candidates = []
         for sym, rank in alg_a.language.symbols:
             if rank == 0:
                 continue
-            for combo in itertools.product(items, repeat=rank):
-                if not any(item in frontier_set for item in combo):
-                    continue
-                child_classes = [classes[key] for key, _ in combo]
-                table_a = tuple(
-                    alg_a.apply(sym, tuple(c.table_a[i] for c in child_classes))
-                    for i in range(len(assigns_a))
-                )
-                table_b = tuple(
-                    alg_b.apply(sym, tuple(c.table_b[i] for c in child_classes))
-                    for i in range(len(assigns_b))
-                )
-                support = frozenset().union(*(sup for _, sup in combo)) if combo else frozenset()
-                term = App(
-                    sym,
-                    tuple(
-                        classes[key].witnesses[sup] for key, sup in combo
-                    ),
-                )
-                candidates.append((table_a, table_b, support, term))
+            op_a = alg_a.tables[sym].__getitem__
+            op_b = alg_b.tables[sym].__getitem__
+            # Every combination with a fresh child, once: the first fresh
+            # child sits at position p, only old children come before it.
+            for p in range(rank):
+                pools = [old] * p + [fresh] + [every] * (rank - p - 1)
+                for combo in itertools.product(*pools):
+                    tables_a, tables_b, sups, children, depths = zip(*combo)
+                    table_a = tuple(map(op_a, zip(*tables_a)))
+                    table_b = tuple(map(op_b, zip(*tables_b)))
+                    support = frozenset().union(*sups)
+                    # A deeper term never replaces a known witness.
+                    cls = classes.get((table_a, table_b))
+                    if cls is not None:
+                        known = cls.witnesses.get(support)
+                        if known is not None and known.depth() <= max(depths):
+                            continue
+                    candidates.append((App(sym, children), table_a, table_b, support))
         depth += 1
-        # deterministic commit order: smallest witness first
-        candidates.sort(key=lambda c: (c[3].depth(), str(c[3])))
-        for table_a, table_b, support, term in candidates:
-            if add(table_a, table_b, support, term, depth):
+        # deterministic commit order: smallest witness first (keys are unique)
+        candidates.sort(key=lambda c: c[0].key)
+        new_frontier: list[tuple[tuple, frozenset[int]]] = []
+        for term, table_a, table_b, support in candidates:
+            if record(table_a, table_b, support, term, depth):
                 new_frontier.append(((table_a, table_b), support))
         if not new_frontier:
             saturated = True
@@ -207,9 +217,10 @@ class RelationClass:
         return f"{s} -> {t}"
 
 
-def _pair_key(t: tuple[Term, Term]):
-    s, u = t
-    return (s.depth() + u.depth(), str(s), str(u))
+def _pair_key(s: Term, t: Term) -> tuple[int, str, str]:
+    """Term pairs are ordered by (depth s + depth t, str s, str t)."""
+    (depth_s, str_s), (depth_t, str_t) = s.key, t.key
+    return (depth_s + depth_t, str_s, str_t)
 
 
 @dataclass
@@ -228,16 +239,6 @@ class PairContext:
     @property
     def bounds(self) -> Bounds:
         return self.clone.bounds
-
-    @cached_property
-    def _full_a(self) -> frozenset:
-        u = self.alg_a.universe
-        return frozenset(itertools.product(u, u))
-
-    @cached_property
-    def _full_b(self) -> frozenset:
-        u = self.alg_b.universe
-        return frozenset(itertools.product(u, u))
 
     @cached_property
     def arrows_a(self) -> list[tuple[Element, Element]]:
@@ -271,23 +272,20 @@ class PairContext:
         return {ar: frozenset(ids) for ar, ids in out.items()}
 
     @cached_property
+    def _rewritten(self) -> list[bool]:
+        """Per relation class id: whether it has a rewrite witness."""
+        return [rc.has_rewrite_witness for rc in self.relations]
+
+    @cached_property
     def jus_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
         """Arrow -> ids of non-trivial rewrite-witnessed classes containing it."""
-        return {
-            ar: frozenset(
-                i for i in ids if self.relations[i].has_rewrite_witness
-            )
-            for ar, ids in self.cont_a.items()
-        }
+        rewritten = self._rewritten.__getitem__
+        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_a.items()}
 
     @cached_property
     def jus_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        return {
-            ar: frozenset(
-                i for i in ids if self.relations[i].has_rewrite_witness
-            )
-            for ar, ids in self.cont_b.items()
-        }
+        rewritten = self._rewritten.__getitem__
+        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_b.items()}
 
     @cached_property
     def elem_up_a(self) -> dict[Element, frozenset[int]]:
@@ -348,48 +346,92 @@ def build_pair_context(
     alg_b: FiniteAlgebra | None = None,
     bounds: Bounds = Bounds(),
 ) -> PairContext:
-    """Generate the joint clone and group class pairs by induced relations."""
+    """Generate the joint clone and group class pairs by induced relations.
+
+    A term pair (s, t) is ordered by (depth s + depth t, str s, str t).  A
+    relation class takes the least pair of class witnesses that induces it,
+    and as rewrite witness the least pair of occurrence-set witnesses (s, t)
+    with the variables of t among those of s.  Relation classes are listed
+    in the order of their witnesses.
+    """
     clone = generate_clone(alg_a, alg_b, bounds)
     alg_b = clone.alg_b
-    full_a = frozenset(itertools.product(alg_a.universe, alg_a.universe))
-    full_b = frozenset(itertools.product(alg_b.universe, alg_b.universe))
+    classes = clone.classes
 
-    grouped: dict[tuple[frozenset, frozenset], RelationClass] = {}
-    for cs in clone.classes:
-        for ct in clone.classes:
-            rel_a = frozenset(zip(cs.table_a, ct.table_a))
-            rel_b = frozenset(zip(cs.table_b, ct.table_b))
-            witness = (cs.witness, ct.witness)
-            rewrite = _rewrite_witness(cs, ct)
-            key = (rel_a, rel_b)
-            existing = grouped.get(key)
-            if existing is None:
-                grouped[key] = RelationClass(
-                    rel_a,
-                    rel_b,
-                    witness,
-                    trivial=(rel_a == full_a and rel_b == full_b),
-                    rewrite_witness=rewrite,
-                )
-            else:
-                existing.witness = min(existing.witness, witness, key=_pair_key)
-                if rewrite is not None and (
-                    existing.rewrite_witness is None
-                    or _pair_key(rewrite) < _pair_key(existing.rewrite_witness)
-                ):
-                    existing.rewrite_witness = rewrite
-    relations = sorted(grouped.values(), key=lambda rc: _pair_key(rc.witness))
+    # Rewrite sides: per class, its (occurrence-set id, witness) pairs as
+    # left sides; per class and occurrence-set id, the least witness whose
+    # variables lie in that set as the right side, or None.
+    occurrence_sets = list(dict.fromkeys(sup for c in classes for sup, _ in c.supports))
+    set_id = {sup: k for k, sup in enumerate(occurrence_sets)}
+    lefts = [[(set_id[sup], t) for sup, t in c.supports] for c in classes]
+    rights = [
+        [next((t for sup, t in c.supports if sup <= occ), None) for occ in occurrence_sets]
+        for c in classes
+    ]
+
+    def rewrite(i: int, j: int):
+        """The least rewrite pair of classes i, j as (pair key, s, t), or None."""
+        best = None
+        right = rights[j]
+        for k, s in lefts[i]:
+            t = right[k]
+            if t is not None:
+                key = _pair_key(s, t)
+                if best is None or key < best[0]:
+                    best = (key, s, t)
+        return best
+
+    # The relation of a class pair as one set of integer arrows: (x, y) in A
+    # is x * |A| + y, (x, y) in B is |A|^2 + x * |B| + y.
+    index_a, index_b = alg_a.index, alg_b.index
+    size_a, size_b = len(alg_a.universe), len(alg_b.universe)
+    offset = size_a * size_a
+    sources, targets = [], []
+    for c in classes:
+        codes_a = [index_a[e] for e in c.table_a]
+        codes_b = [index_b[e] for e in c.table_b]
+        sources.append(
+            tuple(x * size_a for x in codes_a) + tuple(offset + x * size_b for x in codes_b)
+        )
+        targets.append(tuple(codes_a + codes_b))
+    full = frozenset(range(offset + size_b * size_b))
+
+    # Visit class pairs in increasing witness-pair order, so the first pair
+    # of a relation is its witness.  A rewrite pair is never smaller than the
+    # witness pair of its classes, so a pair whose witness pair is not below
+    # the relation's rewrite witness so far cannot change it.
+    depths = [c.witness.depth() for c in classes]
+    strings = [str(c.witness) for c in classes]
+    by_string = sorted(range(len(classes)), key=strings.__getitem__)
+    at_depth: dict[int, list[int]] = {}
+    for i in by_string:
+        at_depth.setdefault(depths[i], []).append(i)
+    grouped: dict[frozenset[int], list] = {}
+    for total in range(2 * max(depths) + 1):
+        for i in by_string:
+            row, left = sources[i], strings[i]
+            for j in at_depth.get(total - depths[i], ()):
+                key = frozenset(map(add, row, targets[j]))
+                group = grouped.get(key)
+                if group is None:
+                    grouped[key] = [i, j, rewrite(i, j)]
+                elif group[2] is None or group[2][0] > (total, left, strings[j]):
+                    found = rewrite(i, j)
+                    if found is not None and (group[2] is None or found[0] < group[2][0]):
+                        group[2] = found
+
+    # Taken last first, so each group is freed as its relation class is
+    # built; reversed afterwards into witness order.
+    relations = []
+    while grouped:
+        key, (i, j, found) = grouped.popitem()
+        cs, ct = classes[i], classes[j]
+        relations.append(RelationClass(
+            frozenset(zip(cs.table_a, ct.table_a)),
+            frozenset(zip(cs.table_b, ct.table_b)),
+            (cs.witness, ct.witness),
+            trivial=key == full,
+            rewrite_witness=None if found is None else found[1:],
+        ))
+    relations.reverse()
     return PairContext(alg_a, alg_b, clone, relations)
-
-
-def _rewrite_witness(
-    cs: DenotationClass, ct: DenotationClass
-) -> tuple[Term, Term] | None:
-    best = None
-    for sup_s, s in cs.witnesses.items():
-        for sup_t, t in ct.witnesses.items():
-            if sup_t <= sup_s:
-                cand = (s, t)
-                if best is None or _pair_key(cand) < _pair_key(best):
-                    best = cand
-    return best

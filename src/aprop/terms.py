@@ -75,8 +75,19 @@ class Term:
     def rank(self) -> int:
         return len(self.variables())
 
-    def depth(self) -> int:
+    # The ordering key (depth, string) is computed once per node from the
+    # children's keys and kept in the instance dict, outside the dataclass
+    # fields, so it takes no part in ==, hash or repr.
+    @cached_property
+    def key(self) -> tuple[int, str]:
+        """(depth, string): terms are ordered smallest key first."""
         raise NotImplementedError
+
+    def depth(self) -> int:
+        return self.key[0]
+
+    def __str__(self) -> str:
+        return self.key[1]
 
 
 @dataclass(frozen=True)
@@ -87,11 +98,9 @@ class Var(Term):
         if self.index < 0:
             raise ValueError("variable index must be non-negative")
 
-    def depth(self) -> int:
-        return 0
-
-    def __str__(self) -> str:
-        return f"x{self.index}"
+    @cached_property
+    def key(self) -> tuple[int, str]:
+        return (0, f"x{self.index}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +108,15 @@ class App(Term):
     symbol: str
     children: tuple[Term, ...] = ()
 
-    def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
-
-    def __str__(self) -> str:
+    @cached_property
+    def key(self) -> tuple[int, str]:
         if not self.children:
-            return self.symbol
-        return f"{self.symbol}({','.join(str(c) for c in self.children)})"
+            return (1, self.symbol)
+        keys = [c.key for c in self.children]
+        return (
+            1 + max(k[0] for k in keys),
+            f"{self.symbol}({','.join(k[1] for k in keys)})",
+        )
 
 
 def _collect_vars(t: Term, seen: list[int]) -> None:

@@ -71,6 +71,38 @@ class TestSpecFormat:
         with pytest.raises(AlgebraSpecError):
             load_algebra("algebra X { universe: a, a; }")
 
+    def test_argument_outside_universe_rejected(self):
+        with pytest.raises(AlgebraSpecError, match="argument outside the universe"):
+            load_algebra("algebra X { universe: a, b; op f/1: a -> b, b -> a, q -> b; }")
+
+    def test_mapping_entry_outside_source_rejected(self):
+        with pytest.raises(AlgebraSpecError, match="not an element of the source"):
+            parse_spec_file(
+                """
+                algebra S { universe: a, b; op f/1: a -> b, b -> a; }
+                mapping m : S -> S { a -> a, b -> b, z -> a }
+                """
+            )
+
+    @pytest.mark.parametrize(
+        "spec, argv",
+        [
+            ("algebra X { universe: a, b; op f/1: a -> b, b -> a, q -> b; }",
+             ["check", "{path}", "a", "b", "a", "b"]),
+            ("algebra S { universe: a, b; op f/1: a -> b, b -> a; }\n"
+             "mapping m : S -> S { a -> a, b -> b, z -> a }",
+             ["iso", "{path}", "m"]),
+        ],
+        ids=["op-row", "mapping-entry"],
+    )
+    def test_cli_rejects_with_exit_2(self, tmp_path, capsys, spec, argv):
+        from aprop.cli import main
+
+        path = tmp_path / "bad.spec"
+        path.write_text(spec)
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mapping_section(self):
         spec = parse_spec_file(
             """

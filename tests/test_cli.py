@@ -135,6 +135,27 @@ class TestErrors:
             main(["--max-vars", "0", "check", "A1", "a", "b", "a", "b"])
         assert exc.value.code == 2
 
+    def test_class_cap_exceeded_is_its_own_outcome(self, capsys):
+        code, out, err = run(capsys, "check", "--class-cap", "2", "A2", "a", "b", "a", "b")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: class cap 2 exceeded")
+
+    def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        import aprop.cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(aprop.cli, "proportion_sim", broken)
+        with pytest.raises(KeyError):
+            main(["check", "A1", "a", "b", "a", "b"])
+
+    def test_seed_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "1", "check", "A1", "a", "b", "a", "b"])
+        assert exc.value.code == 2
+
     def test_flags_accepted_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "check", "A1", "--format", "machine",
                            "a", "b", "a", "b")

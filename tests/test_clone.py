@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from aprop.algebras import FiniteAlgebra, term_table
+from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import Bounds, ResourceLimitError, build_pair_context, generate_clone
-from aprop.terms import App, Language, Term, Var
-from aprop.verify import bundled_algebra, random_algebra
+from aprop.terms import App, Language, Term, Var, parse_term
+from aprop.verify import bundled_algebra, bundled_algebra_names, random_algebra
 
 
 def all_terms(language: Language, max_vars: int, max_depth: int) -> list[Term]:
@@ -24,6 +24,24 @@ def all_terms(language: Language, max_vars: int, max_depth: int) -> list[Term]:
         pool += level
         levels.append(level)
     return pool
+
+
+def generated_algebra(name: str) -> FiniteAlgebra:
+    """CS<n>: a unary n-cycle f and the shift g(i) = min(i+1, n-1);
+    Z<n>: addition modulo n; J<n>: the join (maximum) of an n-element chain."""
+    kind, n = name[:-1], int(name[-1])
+    u = tuple("abcdefgh"[:n])
+    if kind == "CS":
+        symbols = (("f", 1), ("g", 1))
+        tables = {
+            "f": {(u[i],): u[(i + 1) % n] for i in range(n)},
+            "g": {(u[i],): u[min(i + 1, n - 1)] for i in range(n)},
+        }
+    else:
+        op = (lambda i, j: (i + j) % n) if kind == "Z" else max
+        symbols = (("p", 2),)
+        tables = {"p": {(u[i], u[j]): u[op(i, j)] for i in range(n) for j in range(n)}}
+    return FiniteAlgebra(name, Language(symbols), u, tables)
 
 
 class TestGenerateClone:
@@ -91,6 +109,42 @@ class TestGenerateClone:
             assert {c.table_a for c in result.classes} == raw_tables
 
 
+@pytest.mark.parametrize("name", ["Z2", "Z3", "J3"])
+class TestBinaryOperation:
+    """The clone of one binary operation, at two variables."""
+
+    def test_witnesses_reproduce_tables(self, name):
+        alg = generated_algebra(name)
+        result = generate_clone(alg, bounds=Bounds(max_vars=2))
+        for cls in result.classes:
+            assert term_table(cls.witness, alg, (0, 1)) == cls.table_a
+            for support, term in cls.witnesses.items():
+                assert term_table(term, alg, (0, 1)) == cls.table_a
+                assert frozenset(term.variables()) == support
+
+    def test_dedup_against_raw_enumeration(self, name):
+        alg = generated_algebra(name)
+        for depth in range(4):
+            result = generate_clone(alg, bounds=Bounds(max_depth=depth, max_vars=2))
+            raw = {
+                (term_table(t, alg, (0, 1)), frozenset(t.variables()))
+                for t in all_terms(alg.language, 2, depth)
+            }
+            assert {(c.table_a, sup) for c in result.classes for sup in c.witnesses} == raw
+
+    def test_saturation_closure(self, name):
+        alg = generated_algebra(name)
+        result = generate_clone(alg, bounds=Bounds(max_vars=2))
+        assert result.saturated
+        tables = {c.table_a for c in result.classes}
+        for left in result.classes:
+            for right in result.classes:
+                composed = tuple(
+                    alg.apply("p", (x, y)) for x, y in zip(left.table_a, right.table_a)
+                )
+                assert composed in tables
+
+
 class TestRelationClasses:
     def test_diagonal_pair(self, contexts):
         ctx = contexts("A1")
@@ -135,3 +189,169 @@ class TestRelationClasses:
         deeper = build_pair_context(alg, bounds=Bounds(max_depth=9, max_vars=2))
         for q in itertools.product(alg.universe, repeat=4):
             assert bool(proportion_sim(*q, deep)) == bool(proportion_sim(*q, deeper))
+
+
+# --- reference build ----------------------------------------------------------
+# A plain copy of the build before terms cached their keys: every ordering key
+# is recomputed recursively, tables are computed one assignment at a time.
+
+
+def fresh_depth(t: Term) -> int:
+    if isinstance(t, Var):
+        return 0
+    return 1 + max((fresh_depth(c) for c in t.children), default=0)
+
+
+def fresh_str(t: Term) -> str:
+    if isinstance(t, Var):
+        return f"x{t.index}"
+    if not t.children:
+        return t.symbol
+    return f"{t.symbol}({','.join(fresh_str(c) for c in t.children)})"
+
+
+def fresh_key(t: Term):
+    return (fresh_depth(t), fresh_str(t))
+
+
+def test_cached_key_matches_recursive_computation():
+    language = Language((("c", 0), ("f", 1), ("g", 2)))
+    for text in ("x0", "c", "f(c)", "g(f(x1),x0)", "g(c,g(x0,f(f(c))))", "f(g(x2,x2))"):
+        t = parse_term(text, language)
+        assert (t.depth(), str(t)) == fresh_key(t)
+
+
+def reference_clone(alg: FiniteAlgebra, max_vars: int):
+    """(table, {occurrence set: witness}) per class, in class order."""
+    assigns = list(itertools.product(alg.universe, repeat=max_vars))
+    classes: dict[tuple, dict] = {}
+    found: dict[tuple, int] = {}
+
+    def add(table, support, term, depth):
+        witnesses = classes.get(table)
+        if witnesses is None:
+            classes[table] = {support: term}
+            found[table] = depth
+            return True
+        if support not in witnesses:
+            witnesses[support] = term
+            return True
+        witnesses[support] = min(witnesses[support], term, key=fresh_key)
+        return False
+
+    frontier = []
+    for i in range(max_vars):
+        table = tuple(o[i] for o in assigns)
+        add(table, frozenset([i]), Var(i), 0)
+        frontier.append((table, frozenset([i])))
+    for sym, rank in alg.language.symbols:
+        if rank == 0:
+            table = tuple(alg.apply(sym, ()) for _ in assigns)
+            if add(table, frozenset(), App(sym), 0):
+                frontier.append((table, frozenset()))
+    depth = 0
+    while True:
+        items = [(table, sup) for table, ws in classes.items() for sup in ws]
+        frontier_set = set(frontier)
+        candidates = []
+        for sym, rank in alg.language.symbols:
+            if rank == 0:
+                continue
+            for combo in itertools.product(items, repeat=rank):
+                if not any(item in frontier_set for item in combo):
+                    continue
+                table = tuple(
+                    alg.apply(sym, tuple(t[i] for t, _ in combo)) for i in range(len(assigns))
+                )
+                support = frozenset().union(*(sup for _, sup in combo))
+                term = App(sym, tuple(classes[t][sup] for t, sup in combo))
+                candidates.append((table, support, term))
+        depth += 1
+        candidates.sort(key=lambda c: fresh_key(c[2]))
+        frontier = [(t, sup) for t, sup, term in candidates if add(t, sup, term, depth)]
+        if not frontier:
+            break
+    witness = {t: min(ws.values(), key=fresh_key) for t, ws in classes.items()}
+    order = sorted(classes, key=lambda t: (found[t], fresh_str(witness[t])))
+    return [(t, classes[t], witness[t]) for t in order]
+
+
+def reference_relations(classes, alg: FiniteAlgebra):
+    """(witness, rewrite witness, trivial, relation) per relation class, in order."""
+
+    def pair_key(pair):
+        s, u = pair
+        return (fresh_depth(s) + fresh_depth(u), fresh_str(s), fresh_str(u))
+
+    def rewrite_witness(ws_s, ws_t):
+        best = None
+        for sup_s, s in ws_s.items():
+            for sup_t, t in ws_t.items():
+                if sup_t <= sup_s and (best is None or pair_key((s, t)) < pair_key(best)):
+                    best = (s, t)
+        return best
+
+    full = frozenset(itertools.product(alg.universe, repeat=2))
+    grouped = {}
+    for table_s, ws_s, wit_s in classes:
+        for table_t, ws_t, wit_t in classes:
+            rel = frozenset(zip(table_s, table_t))
+            witness = (wit_s, wit_t)
+            rewrite = rewrite_witness(ws_s, ws_t)
+            group = grouped.setdefault(rel, [witness, rewrite])
+            group[0] = min(group[0], witness, key=pair_key)
+            if rewrite is not None and (group[1] is None or pair_key(rewrite) < pair_key(group[1])):
+                group[1] = rewrite
+    ordered = sorted(grouped.items(), key=lambda item: pair_key(item[1][0]))
+    return [(w, rw, rel == full, rel) for rel, (w, rw) in ordered]
+
+
+def pair_strings(pair):
+    return None if pair is None else (fresh_str(pair[0]), fresh_str(pair[1]))
+
+
+# Constants make a term's depth exceed its level, so a witness found at one
+# level can be replaced by a term of the same depth found at the next.
+CONSTANTS = """
+algebra CG3 {
+  universe: a, b, c;
+  op c/0: () -> a;
+  op k/0: () -> c;
+  op f/1: a -> a, b -> c, c -> a;
+  op g/2: (a,a) -> c, (a,b) -> a, (a,c) -> b, (b,a) -> c, (b,b) -> b,
+          (b,c) -> b, (c,a) -> b, (c,b) -> c, (c,c) -> b;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "name, max_vars",
+    [(name, 2) for name in bundled_algebra_names()]
+    + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1)],
+)
+def test_build_matches_reference(name, max_vars):
+    if name in bundled_algebra_names():
+        alg = bundled_algebra(name)
+    elif name == "CG3":
+        alg = load_algebra(CONSTANTS)[1]
+    else:
+        alg = generated_algebra(name)
+    ctx = build_pair_context(alg, bounds=Bounds(max_vars=max_vars))
+    classes = reference_clone(alg, max_vars)
+
+    assert [(c.table_a, fresh_str(c.witness)) for c in ctx.clone.classes] == [
+        (table, fresh_str(witness)) for table, _, witness in classes
+    ]
+    assert [
+        {sup: fresh_str(t) for sup, t in c.witnesses.items()} for c in ctx.clone.classes
+    ] == [{sup: fresh_str(t) for sup, t in ws.items()} for _, ws, _ in classes]
+
+    got = [
+        (str(rc), pair_strings(rc.rewrite_witness), rc.trivial, rc.rel_a, rc.rel_b)
+        for rc in ctx.relations
+    ]
+    want = [
+        (" -> ".join(pair_strings(w)), pair_strings(rw), trivial, rel, rel)
+        for w, rw, trivial, rel in reference_relations(classes, alg)
+    ]
+    assert got == want

@@ -114,3 +114,24 @@ class TestRewriteRules:
         with pytest.raises(ValueError):
             RewriteRule(Var(0), Var(1))
         RewriteRule(parse_term("g(x0,x1)", L2), Var(1))
+
+
+L3 = Language((("c", 0), ("f", 1), ("g", 2)))
+TEXTS = ("x0", "c", "f(c)", "f(x3)", "g(f(x1),x0)", "g(c,g(x0,f(f(c))))", "f(g(x2,x2))")
+
+
+class TestCachedKey:
+    def test_key_is_depth_and_string(self):
+        for text in TEXTS:
+            t = parse_term(text, L3)
+            assert t.key == (t.depth(), str(t))
+            assert str(t) == text
+
+    def test_equality_ignores_the_cache(self):
+        for text in TEXTS:
+            cached, fresh = parse_term(text, L3), parse_term(text, L3)
+            str(cached)
+            assert "key" in vars(cached) and "key" not in vars(fresh)
+            assert cached == fresh and hash(cached) == hash(fresh)
+            assert repr(cached) == repr(fresh)
+            assert len({cached, fresh}) == 1
