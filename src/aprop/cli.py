@@ -16,8 +16,8 @@ import sys
 
 from .algebras import AlgebraSpecError, FiniteAlgebra, parse_spec_file
 from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
-from .proportion_rw import jus_set, proportion_rw, solve_rw
-from .proportion_sim import arrow_up_set, proportion_sim, solve_sim
+from .proportion_rw import proportion_rw, solve_rw
+from .proportion_sim import proportion_sim, solve_sim
 from .similarity import similar
 from .terms import TermSyntaxError
 from .verdicts import ProportionVerdict
@@ -147,14 +147,12 @@ def cmd_justifications(args) -> int:
     ctx = _context(args)
     _require_elements(ctx, (args.a, args.b), (args.c, args.d))
     rw = args.framework == "rw"
-    up = jus_set if rw else arrow_up_set
-    set_a = up((args.a, args.b), ctx, "a")
-    set_b = up((args.c, args.d), ctx, "b")
-    ids_a = {id(rc) for rc in set_a.classes if not rc.trivial}
-    nontrivial_b = [rc for rc in set_b.classes if not rc.trivial]
-    shared = [rc for rc in nontrivial_b if id(rc) in ids_a]
-
-    def show(title, classes):
+    left = (ctx.jus_a if rw else ctx.cont_a)[(args.a, args.b)]
+    right = (ctx.jus_b if rw else ctx.cont_b)[(args.c, args.d)]
+    shared = left & right
+    for title, ids in (("left", left), ("right", right), ("shared", shared)):
+        # ids are positions in ctx.relations, so id order is relation order
+        classes = [ctx.relations[i] for i in sorted(ids)]
         if args.format == "machine":
             for rc in classes:
                 print(f"{title} {rc}")
@@ -162,10 +160,6 @@ def cmd_justifications(args) -> int:
             print(f"{title}: {len(classes)} non-trivial class(es)")
             for rc in classes:
                 print(f"  {rc}")
-
-    show("left", [rc for rc in set_a.classes if not rc.trivial])
-    show("right", nontrivial_b)
-    show("shared", shared)
     if args.format != "machine" and not shared:
         print("the non-trivial intersection is empty")
     return 0

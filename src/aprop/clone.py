@@ -54,6 +54,9 @@ class Bounds:
 
 @dataclass
 class DenotationClass:
+    """Terms up to their pair of tables; ``*_a`` is always the first algebra
+    of the build, also when the class is read through ``swapped()``."""
+
     table_a: tuple[Element, ...]
     table_b: tuple[Element, ...]
     depth_found: int
@@ -107,20 +110,20 @@ def generate_clone(
     if alg_a.language != alg_b.language:
         raise ValueError("joint clone requires a common language")
     v = bounds.max_vars
+    same = alg_b is alg_a  # then every table_b is its table_a
     assigns_a = list(itertools.product(alg_a.universe, repeat=v))
     assigns_b = list(itertools.product(alg_b.universe, repeat=v))
 
     classes: dict[tuple, DenotationClass] = {}
+
+    def exceeded(depth: int) -> ResourceLimitError:
+        return ResourceLimitError(f"class cap {bounds.class_cap} exceeded at depth {depth}")
 
     def record(table_a, table_b, support: frozenset[int], term: Term, depth: int) -> bool:
         """Record a term; True when its (table, occurrence set) is new."""
         key = (table_a, table_b)
         cls = classes.get(key)
         if cls is None:
-            if len(classes) >= bounds.class_cap:
-                raise ResourceLimitError(
-                    f"class cap {bounds.class_cap} exceeded at depth {depth}"
-                )
             classes[key] = DenotationClass(table_a, table_b, depth, {support: term})
             return True
         known = cls.witnesses.get(support)
@@ -135,15 +138,17 @@ def generate_clone(
     frontier: list[tuple[tuple, frozenset[int]]] = []
     for i in range(v):
         ta = tuple(o[i] for o in assigns_a)
-        tb = tuple(o[i] for o in assigns_b)
+        tb = ta if same else tuple(o[i] for o in assigns_b)
         record(ta, tb, frozenset([i]), Var(i), 0)
         frontier.append(((ta, tb), frozenset([i])))
     for sym, rank in alg_a.language.symbols:
         if rank == 0:
             ta = (alg_a.apply(sym, ()),) * len(assigns_a)
-            tb = (alg_b.apply(sym, ()),) * len(assigns_b)
+            tb = ta if same else (alg_b.apply(sym, ()),) * len(assigns_b)
             if record(ta, tb, frozenset(), App(sym), 0):
                 frontier.append(((ta, tb), frozenset()))
+    if len(classes) > bounds.class_cap:
+        raise exceeded(0)
 
     depth = 0
     saturated = False
@@ -160,6 +165,7 @@ def generate_clone(
                 (fresh if (key, sup) in frontier_set else old).append(item)
         every = old + fresh
         candidates = []
+        new_keys = set()  # each becomes a class when the level commits
         for sym, rank in alg_a.language.symbols:
             if rank == 0:
                 continue
@@ -172,11 +178,16 @@ def generate_clone(
                 for combo in itertools.product(*pools):
                     tables_a, tables_b, sups, children, depths = zip(*combo)
                     table_a = tuple(map(op_a, zip(*tables_a)))
-                    table_b = tuple(map(op_b, zip(*tables_b)))
+                    table_b = table_a if same else tuple(map(op_b, zip(*tables_b)))
                     support = frozenset().union(*sups)
-                    # A deeper term never replaces a known witness.
-                    cls = classes.get((table_a, table_b))
-                    if cls is not None:
+                    key = (table_a, table_b)
+                    cls = classes.get(key)
+                    if cls is None:
+                        new_keys.add(key)
+                        if len(classes) + len(new_keys) > bounds.class_cap:
+                            raise exceeded(depth + 1)
+                    else:
+                        # A deeper term never replaces a known witness.
                         known = cls.witnesses.get(support)
                         if known is not None and known.depth() <= max(depths):
                             continue
@@ -200,7 +211,11 @@ def generate_clone(
 
 @dataclass
 class RelationClass:
-    """An arrow generalization s -> t up to its induced binary relations."""
+    """An arrow generalization s -> t up to its induced binary relations.
+
+    ``rel_a`` is always the relation in the first algebra of the build, also
+    when the class is read through ``swapped()``.
+    """
 
     rel_a: frozenset[tuple[Element, Element]]
     rel_b: frozenset[tuple[Element, Element]]
@@ -223,14 +238,34 @@ def _pair_key(s: Term, t: Term) -> tuple[int, str, str]:
     return (depth_s + depth_t, str_s, str_t)
 
 
+def _ids_containing(keys, member_sets) -> dict:
+    """Key -> ids (positions in ``member_sets``) of the sets containing it."""
+    out = {key: set() for key in keys}
+    for i, members in enumerate(member_sets):
+        for key in members:
+            out[key].add(i)
+    return {key: frozenset(ids) for key, ids in out.items()}
+
+
 @dataclass
 class PairContext:
-    """Everything needed to decide similarity and proportion queries on (A, B)."""
+    """Everything needed to decide similarity and proportion queries on (A, B).
+
+    The indexes map an element or arrow of one side to ids: positions in
+    ``clone.classes`` (``elem_up_*``) or ``relations`` (``cont_*``, ``jus_*``).
+    ``swapped()`` is the mirror on (B, A), built once and linked both ways;
+    it shares ``clone`` and ``relations``, and each of its indexes is this
+    context's opposite-side one.
+    """
 
     alg_a: FiniteAlgebra
     alg_b: FiniteAlgebra
     clone: CloneResult
     relations: list[RelationClass]
+    # Set on the mirror made by swapped(): the context it mirrors.
+    mirror_of: PairContext | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def saturated(self) -> bool:
@@ -241,104 +276,79 @@ class PairContext:
         return self.clone.bounds
 
     @cached_property
-    def arrows_a(self) -> list[tuple[Element, Element]]:
-        u = self.alg_a.universe
-        return list(itertools.product(u, u))
-
-    @cached_property
-    def arrows_b(self) -> list[tuple[Element, Element]]:
-        u = self.alg_b.universe
-        return list(itertools.product(u, u))
-
-    @cached_property
     def cont_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
         """Arrow -> ids of non-trivial relation classes containing it in A."""
-        out = {ar: set() for ar in self.arrows_a}
-        for i, rc in enumerate(self.relations):
-            if rc.trivial:
-                continue
-            for ar in rc.rel_a:
-                out[ar].add(i)
-        return {ar: frozenset(ids) for ar, ids in out.items()}
+        if self.mirror_of is not None:
+            return self.mirror_of.cont_b
+        return _ids_containing(
+            itertools.product(self.alg_a.universe, repeat=2),
+            (() if rc.trivial else rc.rel_a for rc in self.relations),
+        )
 
     @cached_property
     def cont_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        out = {ar: set() for ar in self.arrows_b}
-        for i, rc in enumerate(self.relations):
-            if rc.trivial:
-                continue
-            for ar in rc.rel_b:
-                out[ar].add(i)
-        return {ar: frozenset(ids) for ar, ids in out.items()}
-
-    @cached_property
-    def _rewritten(self) -> list[bool]:
-        """Per relation class id: whether it has a rewrite witness."""
-        return [rc.has_rewrite_witness for rc in self.relations]
+        if self.mirror_of is not None:
+            return self.mirror_of.cont_a
+        return _ids_containing(
+            itertools.product(self.alg_b.universe, repeat=2),
+            (() if rc.trivial else rc.rel_b for rc in self.relations),
+        )
 
     @cached_property
     def jus_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
         """Arrow -> ids of non-trivial rewrite-witnessed classes containing it."""
-        rewritten = self._rewritten.__getitem__
-        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_a.items()}
+        if self.mirror_of is not None:
+            return self.mirror_of.jus_b
+        return self._rewritten(self.cont_a)
 
     @cached_property
     def jus_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        rewritten = self._rewritten.__getitem__
-        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_b.items()}
+        if self.mirror_of is not None:
+            return self.mirror_of.jus_a
+        return self._rewritten(self.cont_b)
+
+    def _rewritten(self, cont) -> dict[tuple[Element, Element], frozenset[int]]:
+        rewritten = [rc.has_rewrite_witness for rc in self.relations].__getitem__
+        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in cont.items()}
 
     @cached_property
     def elem_up_a(self) -> dict[Element, frozenset[int]]:
         """Element -> ids of non-trivial denotation classes whose A-image contains it."""
-        out = {e: set() for e in self.alg_a.universe}
-        for i, cls in enumerate(self.clone.classes):
-            if self.class_trivial(cls):
-                continue
-            for e in cls.image_a:
-                out[e].add(i)
-        return {e: frozenset(ids) for e, ids in out.items()}
+        if self.mirror_of is not None:
+            return self.mirror_of.elem_up_b
+        return _ids_containing(
+            self.alg_a.universe,
+            (() if self.class_trivial(c) else c.image_a for c in self.clone.classes),
+        )
 
     @cached_property
     def elem_up_b(self) -> dict[Element, frozenset[int]]:
-        out = {e: set() for e in self.alg_b.universe}
-        for i, cls in enumerate(self.clone.classes):
-            if self.class_trivial(cls):
-                continue
-            for e in cls.image_b:
-                out[e].add(i)
-        return {e: frozenset(ids) for e, ids in out.items()}
+        if self.mirror_of is not None:
+            return self.mirror_of.elem_up_a
+        return _ids_containing(
+            self.alg_b.universe,
+            (() if self.class_trivial(c) else c.image_b for c in self.clone.classes),
+        )
 
     def class_trivial(self, cls: DenotationClass) -> bool:
-        return cls.image_a == frozenset(self.alg_a.universe) and cls.image_b == frozenset(
-            self.alg_b.universe
+        """Whether the class generalizes every element of both algebras."""
+        # An image lies in its universe, so it covers it when the sizes match.
+        return (
+            len(cls.image_a) == len(self.clone.alg_a.universe)
+            and len(cls.image_b) == len(self.clone.alg_b.universe)
         )
 
-    def swapped(self) -> "PairContext":
+    def swapped(self) -> PairContext:
         """The same context with the roles of the two algebras exchanged."""
-        return _swap_context(self)
+        if self.mirror_of is not None:
+            return self.mirror_of
+        return self._mirror
 
-
-def _swap_context(ctx: PairContext) -> PairContext:
-    if not hasattr(ctx, "_swapped"):
-        swapped_clone = CloneResult(
-            ctx.alg_b,
-            ctx.alg_a,
-            ctx.clone.bounds,
-            [
-                DenotationClass(c.table_b, c.table_a, c.depth_found, dict(c.witnesses))
-                for c in ctx.clone.classes
-            ],
-            ctx.clone.saturated,
-            ctx.clone.depth_reached,
-        )
-        relations = [
-            RelationClass(rc.rel_b, rc.rel_a, rc.witness, rc.trivial, rc.rewrite_witness)
-            for rc in ctx.relations
-        ]
-        swapped = PairContext(ctx.alg_b, ctx.alg_a, swapped_clone, relations)
-        swapped._swapped = ctx  # type: ignore[attr-defined]
-        ctx._swapped = swapped  # type: ignore[attr-defined]
-    return ctx._swapped  # type: ignore[attr-defined]
+    @cached_property
+    def _mirror(self) -> PairContext:
+        mirror = PairContext(self.alg_b, self.alg_a, self.clone, self.relations)
+        mirror.mirror_of = self
+        return mirror
 
 
 def build_pair_context(

@@ -18,14 +18,12 @@ from .algebras import (
     solution_set,
     unique_solution_elements,
 )
-from .clone import PairContext, RelationClass
+from .clone import PairContext
 from .terms import RewriteRule, Term
 from .verdicts import ProportionVerdict
 
 __all__ = [
     "Arrow",
-    "RwJustificationSet",
-    "jus_set",
     "arrow_proportion_rw",
     "proportion_rw",
     "jus_membership_via_solutions",
@@ -39,64 +37,12 @@ __all__ = [
 Arrow = tuple[Element, Element]
 
 
-@dataclass(frozen=True)
-class RwJustificationSet:
-    arrow: Arrow
-    classes: tuple[RelationClass, ...]
-    trivial_subset: tuple[RelationClass, ...]
-
-
-def jus_set(ar: Arrow, ctx: PairContext, side: str = "a") -> RwJustificationSet:
-    """Rewrite-witnessed relation classes justifying the arrow."""
-    alg = ctx.alg_a if side == "a" else ctx.alg_b
-    for e in ar:
-        if e not in alg.index:
-            raise KeyError(f"unknown element {e!r}")
-    members = []
-    trivial = []
-    for rc in ctx.relations:
-        if not rc.has_rewrite_witness:
-            continue
-        rel = rc.rel_a if side == "a" else rc.rel_b
-        if ar in rel:
-            members.append(rc)
-            if rc.trivial:
-                trivial.append(rc)
-    return RwJustificationSet(ar, tuple(members), tuple(trivial))
-
-
-def _base(ctx: PairContext):
-    return dict(
-        exact=ctx.saturated,
-        max_vars=ctx.bounds.max_vars,
-        depth=ctx.clone.depth_reached,
-        policy="d-only",
-    )
-
-
 def arrow_proportion_rw(ar1: Arrow, ar2: Arrow, ctx: PairContext) -> ProportionVerdict:
     """The arrow proportion ar1 transforms-as ar2, decided by d-maximality."""
-    base = _base(ctx)
-    set1 = ctx.jus_a[ar1]
-    set2 = ctx.jus_b[ar2]
-    if not set1 and not set2:
-        return ProportionVerdict(True, "all-trivial", **base)
-    shared = set1 & set2
-    if not shared:
-        return ProportionVerdict(False, "empty-intersection", **base)
-    witness = str(ctx.relations[min(shared)])
-    c = ar2[0]
-    comparisons = []
-    for d2 in ctx.alg_b.universe:
-        other = set1 & ctx.jus_b[(c, d2)]
-        comparisons.append(f"{c}->{d2}:{'sub' if shared <= other else 'nosub'}")
-        if shared <= other and not other <= shared:
-            return ProportionVerdict(
-                False, "dominated", witness=witness,
-                competitor=f"{c}->{d2}", comparisons=tuple(comparisons), **base,
-            )
-    return ProportionVerdict(
-        True, "maximal", witness=witness, comparisons=tuple(comparisons), **base
+    # The competitors are the arrows c -> d' of B, c = ar2[0], in order.
+    return ProportionVerdict.of_maximality(
+        ctx.jus_a[ar1], ctx.jus_b, ar2, itertools.product((ar2[0],), ctx.alg_b.universe),
+        "->".join, ctx.relations.__getitem__, ctx, "d-only",
     )
 
 
@@ -104,25 +50,8 @@ def proportion_rw(
     a: Element, b: Element, c: Element, d: Element, ctx: PairContext
 ) -> ProportionVerdict:
     """The entailment relation a:b :: c:d over (A, B)."""
-    swapped = ctx.swapped()
-    conjuncts = [
-        (f"{a}->{b} :. {c}->{d}", (a, b), (c, d), ctx),
-        (f"{b}->{a} :. {d}->{c}", (b, a), (d, c), ctx),
-        (f"{c}->{d} :. {a}->{b}", (c, d), (a, b), swapped),
-        (f"{d}->{c} :. {b}->{a}", (d, c), (b, a), swapped),
-    ]
-    witness = None
-    for name, ar1, ar2, context in conjuncts:
-        verdict = arrow_proportion_rw(ar1, ar2, context)
-        if not verdict:
-            return ProportionVerdict(
-                False, "conjunct-failed", failed_conjunct=name,
-                competitor=verdict.competitor, witness=verdict.witness,
-                **_base(ctx),
-            )
-        witness = witness or verdict.witness
-    return ProportionVerdict(
-        True, "maximal" if witness else "all-trivial", witness=witness, **_base(ctx)
+    return ProportionVerdict.of_conjuncts(
+        a, b, c, d, ctx, arrow_proportion_rw, ":.", "d-only"
     )
 
 

@@ -9,17 +9,14 @@ Maximality ranges over competitor arrows of the right-hand algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebras import Element, FiniteAlgebra, evaluate
-from .clone import PairContext, RelationClass
+from .clone import PairContext
 from .terms import ArrowPattern
 from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
     "Arrow",
-    "ArrowJustificationSet",
-    "arrow_up_set",
     "arrow_lesssim",
     "proportion_sim",
     "is_characteristic_justification_set",
@@ -30,42 +27,6 @@ __all__ = [
 Arrow = tuple[Element, Element]
 
 
-@dataclass(frozen=True)
-class ArrowJustificationSet:
-    arrow: Arrow
-    classes: tuple[RelationClass, ...]
-    trivial_subset: tuple[RelationClass, ...]
-
-
-def arrow_up_set(ar: Arrow, ctx: PairContext, side: str = "a") -> ArrowJustificationSet:
-    """All relation classes justifying the arrow in one algebra of the pair."""
-    alg = ctx.alg_a if side == "a" else ctx.alg_b
-    for e in ar:
-        if e not in alg.index:
-            raise KeyError(f"unknown element {e!r}")
-    members = []
-    trivial = []
-    for rc in ctx.relations:
-        rel = rc.rel_a if side == "a" else rc.rel_b
-        if ar in rel:
-            members.append(rc)
-            if rc.trivial:
-                trivial.append(rc)
-    return ArrowJustificationSet(ar, tuple(members), tuple(trivial))
-
-
-def _base(ctx: PairContext):
-    return dict(
-        exact=ctx.saturated,
-        max_vars=ctx.bounds.max_vars,
-        depth=ctx.clone.depth_reached,
-    )
-
-
-def _fmt(ar: Arrow) -> str:
-    return f"{ar[0]}->{ar[1]}"
-
-
 def arrow_lesssim(
     ar1: Arrow,
     ar2: Arrow,
@@ -74,34 +35,10 @@ def arrow_lesssim(
 ) -> ProportionVerdict:
     """Directed arrow comparison ar1 <~ ar2 over (A, B)."""
     check_policy(policy)
-    base = _base(ctx)
-    set1 = ctx.cont_a[ar1]
-    set2 = ctx.cont_b[ar2]
-    if not set1 and not set2:
-        return ProportionVerdict(True, "all-trivial", policy=policy, **base)
-    shared = set1 & set2
-    if not shared:
-        return ProportionVerdict(False, "empty-intersection", policy=policy, **base)
-    witness = str(ctx.relations[min(shared)])
-    comparisons = []
-    for e in ctx.arrows_b:
-        if policy == "literal" and e == ar1:
-            continue
-        other = set1 & ctx.cont_b[e]
-        comparisons.append(f"{_fmt(e)}:{'sub' if shared <= other else 'nosub'}")
-        if shared <= other and not other <= shared:
-            return ProportionVerdict(
-                False,
-                "dominated",
-                policy=policy,
-                witness=witness,
-                competitor=_fmt(e),
-                comparisons=tuple(comparisons),
-                **base,
-            )
-    return ProportionVerdict(
-        True, "maximal", policy=policy, witness=witness,
-        comparisons=tuple(comparisons), **base,
+    # The competitors are every arrow of B: the keys of cont_b, in order.
+    return ProportionVerdict.of_maximality(
+        ctx.cont_a[ar1], ctx.cont_b, ar2, ctx.cont_b, "->".join,
+        ctx.relations.__getitem__, ctx, policy, ar1 if policy == "literal" else None,
     )
 
 
@@ -114,26 +51,8 @@ def proportion_sim(
     policy: CompetitorPolicy = "literal",
 ) -> ProportionVerdict:
     """The similarity-based analogical proportion a:b ~ c:d over (A, B)."""
-    swapped = ctx.swapped()
-    conjuncts = [
-        (f"{a}->{b} <~ {c}->{d}", (a, b), (c, d), ctx),
-        (f"{b}->{a} <~ {d}->{c}", (b, a), (d, c), ctx),
-        (f"{c}->{d} <~ {a}->{b}", (c, d), (a, b), swapped),
-        (f"{d}->{c} <~ {b}->{a}", (d, c), (b, a), swapped),
-    ]
-    witness = None
-    for name, ar1, ar2, context in conjuncts:
-        verdict = arrow_lesssim(ar1, ar2, context, policy)
-        if not verdict:
-            return ProportionVerdict(
-                False, "conjunct-failed", failed_conjunct=name,
-                policy=policy, competitor=verdict.competitor,
-                witness=verdict.witness, **_base(ctx),
-            )
-        witness = witness or verdict.witness
-    return ProportionVerdict(
-        True, "maximal" if witness else "all-trivial",
-        policy=policy, witness=witness, **_base(ctx),
+    return ProportionVerdict.of_conjuncts(
+        a, b, c, d, ctx, arrow_lesssim, "<~", policy, (policy,)
     )
 
 
@@ -167,7 +86,7 @@ def is_characteristic_justification_set(
         return False
     if not all(ar2 in r for r in rels_b):
         return False
-    for e in ctx.arrows_b:
+    for e in itertools.product(ctx.alg_b.universe, repeat=2):
         if e == ar2:
             continue
         if all(e in r for r in rels_b):

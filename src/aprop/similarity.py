@@ -10,56 +10,18 @@ symmetric conjunction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .algebras import Element, FiniteAlgebra, evaluate
-from .clone import DenotationClass, PairContext
+from .clone import PairContext
 from .terms import Term
 from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
-    "GeneralizationSet",
-    "up_set",
-    "is_trivial_generalization",
     "lesssim",
     "similar",
     "is_characteristic_generalization_set",
 ]
-
-
-@dataclass(frozen=True)
-class GeneralizationSet:
-    owner: Element
-    classes: tuple[DenotationClass, ...]
-    trivial_subset: tuple[DenotationClass, ...]
-
-
-def up_set(a: Element, ctx: PairContext, side: str = "a") -> GeneralizationSet:
-    """All denotation classes generalizing ``a`` in one algebra of the pair."""
-    alg = ctx.alg_a if side == "a" else ctx.alg_b
-    if a not in alg.index:
-        raise KeyError(f"unknown element {a!r}")
-    members = []
-    trivial = []
-    for cls in ctx.clone.classes:
-        image = cls.image_a if side == "a" else cls.image_b
-        if a in image:
-            members.append(cls)
-            if ctx.class_trivial(cls):
-                trivial.append(cls)
-    return GeneralizationSet(a, tuple(members), tuple(trivial))
-
-
-def is_trivial_generalization(cls: DenotationClass, ctx: PairContext) -> bool:
-    return ctx.class_trivial(cls)
-
-
-def _verdict_base(ctx: PairContext):
-    return dict(
-        exact=ctx.saturated,
-        max_vars=ctx.bounds.max_vars,
-        depth=ctx.clone.depth_reached,
-    )
 
 
 def lesssim(
@@ -74,34 +36,10 @@ def lesssim(
         raise KeyError(f"unknown element {a!r}")
     if b not in ctx.alg_b.index:
         raise KeyError(f"unknown element {b!r}")
-    base = _verdict_base(ctx)
-    set_a = ctx.elem_up_a[a]
-    set_b = ctx.elem_up_b[b]
-    if not set_a and not set_b:
-        return ProportionVerdict(True, "all-trivial", policy=policy, **base)
-    shared = set_a & set_b
-    if not shared:
-        return ProportionVerdict(False, "empty-intersection", policy=policy, **base)
-    witness = str(ctx.clone.classes[min(shared)].witness)
-    comparisons = []
-    for b2 in ctx.alg_b.universe:
-        if policy == "literal" and b2 == a:
-            continue
-        other = set_a & ctx.elem_up_b[b2]
-        comparisons.append(f"{b2}:{'sub' if shared <= other else 'nosub'}")
-        if shared <= other and not other <= shared:
-            return ProportionVerdict(
-                False,
-                "dominated",
-                policy=policy,
-                witness=witness,
-                competitor=b2,
-                comparisons=tuple(comparisons),
-                **base,
-            )
-    return ProportionVerdict(
-        True, "maximal", policy=policy, witness=witness,
-        comparisons=tuple(comparisons), **base,
+    classes = ctx.clone.classes
+    return ProportionVerdict.of_maximality(
+        ctx.elem_up_a[a], ctx.elem_up_b, b, ctx.alg_b.universe, str,
+        lambda i: classes[i].witness, ctx, policy, a if policy == "literal" else None,
     )
 
 
@@ -111,22 +49,16 @@ def similar(
     ctx: PairContext,
     policy: CompetitorPolicy = "literal",
 ) -> ProportionVerdict:
-    forward = lesssim(a, b, ctx, policy)
-    if not forward:
-        return ProportionVerdict(
-            False, "conjunct-failed", failed_conjunct=f"{a} <~ {b}",
-            policy=policy, competitor=forward.competitor, **_verdict_base(ctx),
-        )
-    backward = lesssim(b, a, ctx.swapped(), policy)
-    if not backward:
-        return ProportionVerdict(
-            False, "conjunct-failed", failed_conjunct=f"{b} <~ {a}",
-            policy=policy, competitor=backward.competitor, **_verdict_base(ctx),
-        )
-    return ProportionVerdict(
-        True, forward.reason, policy=policy, witness=forward.witness,
-        **_verdict_base(ctx),
-    )
+    """a <~ b over (A, B) and b <~ a over (B, A); the first that fails decides."""
+    verdicts = []
+    for x, y, side in ((a, b, ctx), (b, a, ctx.swapped())):
+        verdicts.append(lesssim(x, y, side, policy))
+        if not verdicts[-1]:
+            return replace(
+                verdicts[-1], reason="conjunct-failed", failed_conjunct=f"{x} <~ {y}",
+                witness=None, comparisons=(),
+            )
+    return replace(verdicts[0], comparisons=())
 
 
 def generalizes(t: Term, a: Element, alg: FiniteAlgebra) -> bool:

@@ -270,14 +270,6 @@ class VectorResult:
     passed: bool
 
 
-def _vector_prop(
-    framework: str, q: Quadruple, ctx: PairContext, policy: CompetitorPolicy
-) -> bool:
-    if framework == "sim":
-        return bool(proportion_sim(*q, ctx, policy))
-    return bool(proportion_rw(*q, ctx))
-
-
 def run_paper_vectors(
     text: str | None = None, bounds: Bounds | None = None
 ) -> list[VectorResult]:
@@ -310,7 +302,7 @@ def run_paper_vectors(
         fields = ["literal" if f == "-" else f for f in fields]
         if kind == "quad":
             name, framework, policy, a, b, c, d, expected = fields[1:]
-            got = _vector_prop(framework, (a, b, c, d), ctx_for(name), policy)
+            got = _Prop(framework, policy)(ctx_for(name), (a, b, c, d))
             actual = "holds" if got else "fails"
             description = f"{name} {framework} {a}:{b} to {c}:{d}"
         elif kind == "axiom":

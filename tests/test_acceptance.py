@@ -90,32 +90,59 @@ class TestPositiveAxioms:
         assert time.monotonic() - start < 60.0
 
 
-def naive_terms(depth):
-    """Raw unary terms over x0, x1 to the given depth, no deduplication."""
-    pool = [Var(0), Var(1)]
-    for _ in range(depth):
-        pool = pool + [App("f", (t,)) for t in pool]
-    return pool
+def naive_terms(alg, max_vars=2):
+    """Raw terms over x0..x(v-1), one per (table, variable set), to saturation.
+
+    Each round applies every operation to every tuple of the terms kept so
+    far; a term is kept when its table over all assignments (computed with
+    ``evaluate``) and its variable set are new.  The rounds stop when one
+    keeps nothing.
+    """
+    assigns = [dict(enumerate(values))
+               for values in itertools.product(alg.universe, repeat=max_vars)]
+    seen = set()
+    pool = []
+
+    def keep(t):
+        key = (tuple(evaluate(t, alg, o) for o in assigns), frozenset(t.variables()))
+        if key in seen:
+            return False
+        seen.add(key)
+        pool.append(t)
+        return True
+
+    for t in [Var(i) for i in range(max_vars)] + [
+        App(sym) for sym, rank in alg.language.symbols if rank == 0
+    ]:
+        keep(t)
+    while True:
+        built = [
+            App(sym, children)
+            for sym, rank in alg.language.symbols if rank > 0
+            for children in itertools.product(pool, repeat=rank)
+        ]
+        if not sum(map(keep, built)):
+            return pool
 
 
-def naive_relation(s, t, alg):
+def naive_relation(s, t, alg, max_vars=2):
     rel = set()
-    for v0, v1 in itertools.product(alg.universe, repeat=2):
-        o = {0: v0, 1: v1}
+    for values in itertools.product(alg.universe, repeat=max_vars):
+        o = dict(enumerate(values))
         rel.add((evaluate(s, alg, o), evaluate(t, alg, o)))
     return frozenset(rel)
 
 
-def naive_cont(alg, framework):
+def naive_cont(alg, framework, max_vars=2):
     """Arrow -> ids of non-trivial relations justifying it, from raw terms."""
-    terms = naive_terms(3)
+    terms = naive_terms(alg, max_vars)
     full = frozenset(itertools.product(alg.universe, repeat=2))
     rels = {}
     for s in terms:
         for t in terms:
             if framework == "rw" and not set(t.variables()) <= set(s.variables()):
                 continue
-            rels[naive_relation(s, t, alg)] = True
+            rels[naive_relation(s, t, alg, max_vars)] = True
     nontrivial = [r for r in rels if r != full]
     arrows = list(itertools.product(alg.universe, repeat=2))
     return arrows, {
@@ -124,7 +151,7 @@ def naive_cont(alg, framework):
     }
 
 
-def naive_verdict(arrows, cont, alg, a, b, c, d, framework):
+def naive_verdict(arrows, cont, alg, a, b, c, d, framework, policy="literal"):
     def arrow_ok(ar1, ar2):
         s1, s2 = cont[ar1], cont[ar2]
         if not s1 and not s2:
@@ -135,7 +162,7 @@ def naive_verdict(arrows, cont, alg, a, b, c, d, framework):
         if framework == "rw":
             competitors = [(ar2[0], d2) for d2 in alg.universe]
         else:
-            competitors = [e for e in arrows if e != ar1]
+            competitors = [e for e in arrows if policy == "all" or e != ar1]
         for e in competitors:
             other = s1 & cont[e]
             if shared <= other and not other <= shared:
@@ -144,6 +171,23 @@ def naive_verdict(arrows, cont, alg, a, b, c, d, framework):
 
     return (arrow_ok((a, b), (c, d)) and arrow_ok((b, a), (d, c))
             and arrow_ok((c, d), (a, b)) and arrow_ok((d, c), (b, a)))
+
+
+def oracle_mismatches(alg, ctx, policies):
+    """Quadruples where the engine and the naive oracle disagree."""
+    mismatches = []
+    conts = {fw: naive_cont(alg, fw) for fw in ("sim", "rw")}
+    for q in itertools.product(alg.universe, repeat=4):
+        arrows, cont = conts["sim"]
+        for policy in policies:
+            if bool(proportion_sim(*q, ctx, policy)) != naive_verdict(
+                arrows, cont, alg, *q, "sim", policy
+            ):
+                mismatches.append((q, "sim", policy))
+        arrows, cont = conts["rw"]
+        if bool(proportion_rw(*q, ctx)) != naive_verdict(arrows, cont, alg, *q, "rw"):
+            mismatches.append((q, "rw"))
+    return mismatches
 
 
 class TestOracleEquivalence:
@@ -158,19 +202,21 @@ class TestOracleEquivalence:
                 tables = {"f": {(e,): v for e, v in zip(universe, table_vals)}}
                 alg = FiniteAlgebra("N", language, universe, tables)
                 ctx = build_pair_context(alg, bounds=BOUNDS)
-                conts = {fw: naive_cont(alg, fw) for fw in ("sim", "rw")}
-                for q in itertools.product(universe, repeat=4):
-                    arrows, cont = conts["sim"]
-                    if bool(proportion_sim(*q, ctx, "literal")) != naive_verdict(
-                        arrows, cont, alg, *q, "sim"
-                    ):
-                        mismatches.append((tables["f"], q, "sim"))
-                    arrows, cont = conts["rw"]
-                    if bool(proportion_rw(*q, ctx)) != naive_verdict(
-                        arrows, cont, alg, *q, "rw"
-                    ):
-                        mismatches.append((tables["f"], q, "rw"))
+                for found in oracle_mismatches(alg, ctx, ("literal",)):
+                    mismatches.append((tables["f"], *found))
         assert mismatches == []
+
+    @pytest.mark.parametrize("n, op", [(2, "add"), (3, "add"), (3, "join")])
+    def test_binary_operations(self, n, op):
+        universe = tuple("abc"[:n])
+        combine = (lambda i, j: (i + j) % n) if op == "add" else max
+        table = {
+            (universe[i], universe[j]): universe[combine(i, j)]
+            for i in range(n) for j in range(n)
+        }
+        alg = FiniteAlgebra(f"{op}{n}", Language((("p", 2),)), universe, {"p": table})
+        ctx = build_pair_context(alg, bounds=BOUNDS)
+        assert oracle_mismatches(alg, ctx, ("literal", "all")) == []
 
 
 class TestIsomorphismTheorems:

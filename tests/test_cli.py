@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 from aprop.cli import main
+from aprop.clone import Bounds, build_pair_context
+from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
 def run(capsys, *argv):
@@ -64,6 +68,59 @@ class TestJustifications:
         assert code == 0
         assert "x0 -> f(x0)" in out
         assert "the non-trivial intersection is empty" in out
+
+    def test_listing_matches_the_justification_sets(self, capsys, monkeypatch):
+        import aprop.cli
+
+        contexts = {}
+
+        def build_once(alg_a, alg_b, bounds):
+            key = (alg_a.name, alg_b.name, bounds)
+            if key not in contexts:
+                contexts[key] = build_pair_context(alg_a, alg_b, bounds)
+            return contexts[key]
+
+        monkeypatch.setattr(aprop.cli, "build_pair_context", build_once)
+        for name in bundled_algebra_names():
+            ctx = build_once(bundled_algebra(name), bundled_algebra(name), Bounds())
+            u = ctx.alg_a.universe
+            for quad in itertools.product(u[:2], u[:2], u[-2:], u[-2:]):
+                for fw in ("sim", "rw"):
+                    for fmt in ("machine", "human"):
+                        code, out, _ = run(
+                            capsys, "--framework", fw, "--format", fmt,
+                            "justifications", name, *quad,
+                        )
+                        assert code == 0
+                        assert out == listing(ctx, quad, fw == "rw", fmt), (name, quad, fw, fmt)
+
+
+def listing(ctx, quad, rw, fmt):
+    """The justifications listing as the per-arrow justification-set wrappers
+    printed it: every relation class justifying an arrow on one side (with a
+    rewrite witness under rw), trivial ones dropped, in relation order."""
+    a, b, c, d = quad
+
+    def justifying(ar, side):
+        return [
+            rc for rc in ctx.relations
+            if not rc.trivial
+            and (rc.has_rewrite_witness or not rw)
+            and ar in (rc.rel_a if side == "a" else rc.rel_b)
+        ]
+
+    left, right = justifying((a, b), "a"), justifying((c, d), "b")
+    shared = [rc for rc in right if any(rc is x for x in left)]
+    lines = []
+    for title, classes in (("left", left), ("right", right), ("shared", shared)):
+        if fmt == "machine":
+            lines += [f"{title} {rc}" for rc in classes]
+        else:
+            lines.append(f"{title}: {len(classes)} non-trivial class(es)")
+            lines += [f"  {rc}" for rc in classes]
+    if fmt != "machine" and not shared:
+        lines.append("the non-trivial intersection is empty")
+    return "".join(f"{line}\n" for line in lines)
 
 
 class TestAxioms:

@@ -6,7 +6,12 @@ import pytest
 from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import Bounds, ResourceLimitError, build_pair_context, generate_clone
 from aprop.terms import App, Language, Term, Var, parse_term
-from aprop.verify import bundled_algebra, bundled_algebra_names, random_algebra
+from aprop.verify import (
+    bundled_algebra,
+    bundled_algebra_names,
+    quotient_homomorphisms,
+    random_algebra,
+)
 
 
 def all_terms(language: Language, max_vars: int, max_depth: int) -> list[Term]:
@@ -97,6 +102,25 @@ class TestGenerateClone:
         with pytest.raises(ResourceLimitError):
             generate_clone(alg, bounds=Bounds(max_vars=2, class_cap=3))
 
+    def test_class_cap_stops_the_level_early(self, monkeypatch):
+        import aprop.clone
+
+        alg = load_algebra(CONSTANTS)[1]
+        built = []
+
+        def counting_app(*args):
+            built.append(args)
+            return App(*args)
+
+        monkeypatch.setattr(aprop.clone, "App", counting_app)
+        # Level 3 takes the clone from 150 to 2,994 classes.
+        generate_clone(alg, bounds=Bounds(max_vars=2, max_depth=3))
+        through_level_3 = len(built)
+        built.clear()
+        with pytest.raises(ResourceLimitError, match="class cap 500 exceeded at depth 3"):
+            generate_clone(alg, bounds=Bounds(max_vars=2, class_cap=500))
+        assert len(built) < through_level_3 / 4
+
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)
         for _ in range(8):
@@ -178,8 +202,35 @@ class TestRelationClasses:
 
     def test_swapped_roundtrip(self, contexts):
         ctx = contexts("EAABB")
-        assert ctx.swapped().swapped() is ctx
-        assert ctx.swapped().relations[0].rel_a == ctx.relations[0].rel_b
+        mirror = ctx.swapped()
+        assert mirror.swapped() is ctx
+        assert ctx.swapped() is mirror
+        assert mirror.clone is ctx.clone
+        assert mirror.relations is ctx.relations
+        for x, y in (("cont_a", "cont_b"), ("jus_a", "jus_b"), ("elem_up_a", "elem_up_b")):
+            assert getattr(mirror, x) is getattr(ctx, y)
+            assert getattr(mirror, y) is getattr(ctx, x)
+
+    def test_swap_shares_indexes_between_distinct_algebras(self, monkeypatch):
+        import aprop.clone
+
+        h = quotient_homomorphisms(bundled_algebra("A3"))[0]
+        for mirror_first in (True, False):
+            ctx = build_pair_context(h.source, h.target, Bounds(max_vars=2))
+            # swapped() copies nothing: building a class would call None
+            monkeypatch.setattr(aprop.clone, "DenotationClass", None)
+            monkeypatch.setattr(aprop.clone, "RelationClass", None)
+            mirror = ctx.swapped()
+            monkeypatch.undo()
+            assert (mirror.alg_a, mirror.alg_b) == (ctx.alg_b, ctx.alg_a)
+            for name in ("cont", "jus", "elem_up"):
+                for x, y in (("a", "b"), ("b", "a")):
+                    if mirror_first:
+                        assert getattr(mirror, f"{name}_{x}") is getattr(ctx, f"{name}_{y}")
+                    else:
+                        assert getattr(ctx, f"{name}_{y}") is getattr(mirror, f"{name}_{x}")
+            assert list(mirror.elem_up_a) == list(h.target.universe)
+            assert list(mirror.cont_b) == list(itertools.product(h.source.universe, repeat=2))
 
     def test_verdict_stable_once_saturated(self):
         from aprop.proportion_sim import proportion_sim

@@ -6,7 +6,6 @@ from aprop.proportion_rw import (
     arrow_proportion_rw,
     is_characteristic_r_justification_set,
     jus_membership_via_solutions,
-    jus_set,
     proportion_rw,
     rule_in_jus,
     solve_rw,
@@ -16,21 +15,25 @@ from aprop.proportion_sim import is_characteristic_justification_set, proportion
 from aprop.terms import ArrowPattern, RewriteRule, parse_term
 
 
+def justifications(ctx, ids):
+    return [str(ctx.relations[i]) for i in sorted(ids)]
+
+
 class TestJusSet:
     def test_identity_rule_on_loops(self, contexts):
         ctx = contexts("A1")
-        got = jus_set(("a", "a"), ctx)
-        assert any(str(rc) == "x0 -> x0" for rc in got.classes)
+        assert "x0 -> x0" in justifications(ctx, ctx.jus_a[("a", "a")])
 
     def test_a2_arrow(self, contexts):
         ctx = contexts("A2", max_vars=1)
-        got = jus_set(("a", "b"), ctx)
-        assert any(str(rc) == "x0 -> f(x0)" for rc in got.classes)
+        got = ctx.jus_a[("a", "b")]
+        assert "x0 -> f(x0)" in justifications(ctx, got)
+        assert got <= ctx.cont_a[("a", "b")]
+        assert all(ctx.relations[i].has_rewrite_witness for i in got)
 
     def test_empty_language_off_diagonal_empty(self, contexts):
         ctx = contexts("A1")
-        got = jus_set(("a", "b"), ctx)
-        assert not [rc for rc in got.classes if not rc.trivial]
+        assert ctx.jus_a[("a", "b")] == ctx.jus_b[("a", "b")] == frozenset()
 
 
 class TestArrowProportionRw:

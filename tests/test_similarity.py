@@ -1,48 +1,58 @@
 import itertools
 
-from aprop.similarity import (
-    is_characteristic_generalization_set,
-    is_trivial_generalization,
-    lesssim,
-    similar,
-    up_set,
-)
+from aprop.similarity import is_characteristic_generalization_set, lesssim, similar
 from aprop.terms import parse_term
 from aprop.verify import bundled_algebra
+
+
+def witnesses(ctx, ids):
+    return [str(ctx.clone.classes[i].witness) for i in sorted(ids)]
+
+
+def images_containing(ctx, e):
+    """Every class, trivial or not, whose A-image contains e."""
+    return [c for c in ctx.clone.classes if e in c.image_a]
 
 
 class TestUpSet:
     def test_empty_language_only_projections(self, contexts):
         ctx = contexts("A1")
         for e in ctx.alg_a.universe:
-            got = up_set(e, ctx)
-            assert got.classes
-            assert got.classes == got.trivial_subset
+            assert images_containing(ctx, e)
+            assert all(ctx.class_trivial(c) for c in images_containing(ctx, e))
+            assert ctx.elem_up_a[e] == ctx.elem_up_b[e] == frozenset()
 
     def test_a2_a_has_no_f_generalization(self, contexts):
         ctx = contexts("A2", max_vars=1)
-        assert [str(c.witness) for c in up_set("a", ctx).classes] == ["x0"]
+        assert [str(c.witness) for c in images_containing(ctx, "a")] == ["x0"]
+        assert witnesses(ctx, ctx.elem_up_a["a"]) == []
 
     def test_a2_b_is_in_image_of_f(self, contexts):
         ctx = contexts("A2", max_vars=1)
-        assert sorted(str(c.witness) for c in up_set("b", ctx).classes) == [
+        assert sorted(str(c.witness) for c in images_containing(ctx, "b")) == [
             "f(x0)",
             "x0",
         ]
+        assert witnesses(ctx, ctx.elem_up_a["b"]) == ["f(x0)"]
+        assert ctx.elem_up_b["b"] == ctx.elem_up_a["b"]
 
 
 class TestTriviality:
     def test_projection_trivial(self, contexts):
         ctx = contexts("A2")
-        projection = next(
-            c for c in ctx.clone.classes if str(c.witness) == "x0"
+        i, projection = next(
+            (i, c) for i, c in enumerate(ctx.clone.classes) if str(c.witness) == "x0"
         )
-        assert is_trivial_generalization(projection, ctx)
+        assert ctx.class_trivial(projection)
+        assert all(i not in ids for ids in ctx.elem_up_a.values())
 
     def test_f_not_trivial(self, contexts):
         ctx = contexts("A2")
-        cls = next(c for c in ctx.clone.classes if str(c.witness) == "f(x0)")
-        assert not is_trivial_generalization(cls, ctx)
+        i, cls = next(
+            (i, c) for i, c in enumerate(ctx.clone.classes) if str(c.witness) == "f(x0)"
+        )
+        assert not ctx.class_trivial(cls)
+        assert all(i in ctx.elem_up_a[e] for e in cls.image_a)
 
 
 class TestLesssim:
