@@ -267,7 +267,7 @@ class _SpecParser:
             self.next()
             sym = self.word()
             self.expect("/")
-            rank_word = self.word() if self.peek()[0] == "word" else None
+            rank_word = self.word() if self.peek() and self.peek()[0] == "word" else None
             if rank_word is None or not rank_word.isdigit():
                 raise AlgebraSpecError(f"expected rank after {sym!r}/")
             rank = int(rank_word)
@@ -297,7 +297,11 @@ class _SpecParser:
             symbols.append((sym, rank))
             tables[sym] = table
         self.expect("}")
-        return FiniteAlgebra(name, Language(tuple(symbols)), tuple(universe), tables)
+        try:
+            language = Language(tuple(symbols))
+        except ValueError as exc:  # an op named like a variable, x0, x1, ...
+            raise AlgebraSpecError(f"algebra {name!r}: {exc}") from None
+        return FiniteAlgebra(name, language, tuple(universe), tables)
 
     def op_args(self, rank: int) -> tuple[Element, ...]:
         if self.peek() and self.peek()[1] == "(":

@@ -11,10 +11,11 @@ exceeds ``--class-cap`` before it saturates.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-from .algebras import AlgebraSpecError, FiniteAlgebra, parse_spec_file
+from .algebras import AlgebraSpecError, FiniteAlgebra, is_isomorphism, parse_spec_file
 from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
 from .proportion_rw import proportion_rw, solve_rw
 from .proportion_sim import proportion_sim, solve_sim
@@ -36,10 +37,9 @@ __all__ = ["main"]
 
 
 def _load_spec(path: str):
-    if os.path.exists(path):
-        with open(path) as fh:
-            return parse_spec_file(fh.read())
-    raise AlgebraSpecError(f"no such file: {path}")
+    # a missing file raises OSError, which main reports as an input error
+    with open(path) as fh:
+        return parse_spec_file(fh.read())
 
 
 def _load_algebras(paths: list[str]) -> tuple[FiniteAlgebra, FiniteAlgebra]:
@@ -96,12 +96,10 @@ def _print_verdict(args, label: str, verdict: ProportionVerdict) -> None:
 
 
 def _require_elements(ctx: PairContext, left: tuple, right: tuple) -> None:
-    for e in left:
-        if e not in ctx.alg_a.index:
-            raise AlgebraSpecError(f"unknown element {e!r} in {ctx.alg_a.name}")
-    for e in right:
-        if e not in ctx.alg_b.index:
-            raise AlgebraSpecError(f"unknown element {e!r} in {ctx.alg_b.name}")
+    for alg, elements in ((ctx.alg_a, left), (ctx.alg_b, right)):
+        for e in elements:
+            if e not in alg.index:
+                raise AlgebraSpecError(f"unknown element {e!r} in {alg.name}")
 
 
 def cmd_check(args) -> int:
@@ -194,8 +192,6 @@ def cmd_iso(args) -> int:
         check_isomorphism_lemma(h, bounds),
         check_first_iso_theorem(h, bounds, args.competitors),
     ]
-    from .algebras import is_isomorphism
-
     if is_isomorphism(h):
         reports.append(check_second_iso_theorem(h, bounds, args.competitors))
     status = 0
@@ -257,7 +253,9 @@ def _add_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--format", choices=["human", "machine"], default=default("human"))
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built by the first ``main`` call, not at import, so importing stays cheap.
     parser = argparse.ArgumentParser(
         prog="aprop", description="Analogical proportions over finite algebras."
     )
@@ -270,7 +268,6 @@ def _parser() -> argparse.ArgumentParser:
         for arg in positional:
             p.add_argument(arg, nargs="+" if arg == "algebra" else None)
         p.set_defaults(func=func)
-        return p
 
     add("check", cmd_check, "algebra", "a", "b", "c", "d")
     add("solve", cmd_solve, "algebra", "a", "b", "c")
@@ -278,14 +275,8 @@ def _parser() -> argparse.ArgumentParser:
     add("justifications", cmd_justifications, "algebra", "a", "b", "c", "d")
     add("axioms", cmd_axioms, "algebra")
     add("compare", cmd_compare, "algebra")
-    p_iso = sub.add_parser("iso")
-    _add_options(p_iso, suppress=True)
-    p_iso.add_argument("spec")
-    p_iso.add_argument("mapping")
-    p_iso.set_defaults(func=cmd_iso)
-    p_vec = sub.add_parser("vectors")
-    _add_options(p_vec, suppress=True)
-    p_vec.set_defaults(func=cmd_vectors)
+    add("iso", cmd_iso, "spec", "mapping")
+    add("vectors", cmd_vectors)
     return parser
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
-from .algebras import Element, FiniteAlgebra
+from .algebras import AlgebraSpecError, Element, FiniteAlgebra
 from .terms import App, Term, Var
 
 __all__ = [
@@ -108,7 +108,7 @@ def generate_clone(
     if alg_b is None:
         alg_b = alg_a
     if alg_a.language != alg_b.language:
-        raise ValueError("joint clone requires a common language")
+        raise AlgebraSpecError("joint clone requires a common language")
     v = bounds.max_vars
     same = alg_b is alg_a  # then every table_b is its table_a
     assigns_a = list(itertools.product(alg_a.universe, repeat=v))

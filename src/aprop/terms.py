@@ -57,7 +57,7 @@ class Language:
 
 
 def _is_variable_name(name: str) -> bool:
-    return len(name) > 1 and name[0] == "x" and name[1:].isdigit()
+    return len(name) > 1 and name[0] == "x" and name[1:].isdecimal()
 
 
 class Term:

@@ -9,10 +9,11 @@ never silently adjusted.
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 
 from .algebras import (
     AlgebraSpecError,
@@ -53,27 +54,80 @@ Quadruple = tuple[Element, Element, Element, Element]
 
 @dataclass(frozen=True)
 class AxiomSchema:
-    """One of the twelve proportional axioms, with its context arity."""
+    """One of the twelve proportional axioms, stated in full.
+
+    ``instances(A, B, S)`` enumerates the element tuples of the statement
+    from the universes of A and B and their shared elements S.
+    ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
+    counterexample, where ``p`` decides proportions in the (A, B) context
+    ``ab`` and in its mirror ``ba`` on (B, A).  Schemata over one or three
+    algebras are read with A = B (and C = B).
+    """
 
     name: str
     context_arity: int
+    instances: Callable[..., Iterable[tuple[Element, ...]]]
+    violated: Callable[..., bool]
 
 
 AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
     s.name: s
     for s in (
-        AxiomSchema("p-reflexivity", 1),
-        AxiomSchema("p-symmetry", 2),
-        AxiomSchema("inner-p-symmetry", 2),
-        AxiomSchema("p-determinism", 1),
-        AxiomSchema("inner-p-reflexivity", 2),
-        AxiomSchema("central-permutation", 1),
-        AxiomSchema("strong-inner-p-reflexivity", 1),
-        AxiomSchema("strong-p-reflexivity", 1),
-        AxiomSchema("p-commutativity", 2),
-        AxiomSchema("p-transitivity", 3),
-        AxiomSchema("inner-p-transitivity", 2),
-        AxiomSchema("central-p-transitivity", 3),
+        AxiomSchema(
+            "p-reflexivity", 1, lambda A, B, S: product(A, repeat=2),
+            lambda p, ab, ba, a, b: not p(ab, (a, b, a, b)),
+        ),
+        AxiomSchema(
+            "p-symmetry", 2, lambda A, B, S: product(A, A, B, B),
+            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ba, (c, d, a, b)),
+        ),
+        AxiomSchema(
+            "inner-p-symmetry", 2, lambda A, B, S: product(A, A, B, B),
+            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ab, (b, a, d, c)),
+        ),
+        AxiomSchema(
+            "p-determinism", 1, lambda A, B, S: product(A, repeat=2),
+            lambda p, ab, ba, a, d: p(ab, (a, a, a, d)) != (d == a),
+        ),
+        AxiomSchema(
+            "inner-p-reflexivity", 2, lambda A, B, S: product(A, B),
+            lambda p, ab, ba, a, c: not p(ab, (a, a, c, c)),
+        ),
+        AxiomSchema(
+            "central-permutation", 1, lambda A, B, S: product(A, repeat=4),
+            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ab, (a, c, b, d)),
+        ),
+        AxiomSchema(
+            "strong-inner-p-reflexivity", 1, lambda A, B, S: product(A, repeat=3),
+            lambda p, ab, ba, a, c, d: d != c and p(ab, (a, a, c, d)),
+        ),
+        AxiomSchema(
+            "strong-p-reflexivity", 1, lambda A, B, S: product(A, repeat=3),
+            lambda p, ab, ba, a, b, d: d != b and p(ab, (a, b, a, d)),
+        ),
+        AxiomSchema(
+            "p-commutativity", 2, lambda A, B, S: product(S, repeat=2),
+            lambda p, ab, ba, a, b: not p(ab, (a, b, b, a)),
+        ),
+        AxiomSchema(
+            "p-transitivity", 3, lambda A, B, S: product(A, A, B, B, B, B),
+            lambda p, ab, ba, a, b, c, d, e, f: p(ab, (a, b, c, d))
+            and p(ab, (c, d, e, f)) and not p(ab, (a, b, e, f)),
+        ),
+        # enumerated in the order (a, b, e, c, d, f), reported as (a, ..., f)
+        AxiomSchema(
+            "inner-p-transitivity", 2,
+            lambda A, B, S: (
+                (a, b, c, d, e, f) for a, b, e, c, d, f in product(A, A, A, B, B, B)
+            ),
+            lambda p, ab, ba, a, b, c, d, e, f: p(ab, (a, b, c, d))
+            and p(ab, (b, e, d, f)) and not p(ab, (a, e, c, f)),
+        ),
+        AxiomSchema(
+            "central-p-transitivity", 3, lambda A, B, S: product(A, S, S, B),
+            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, b, c))
+            and p(ab, (b, c, c, d)) and not p(ab, (a, b, c, d)),
+        ),
     )
 }
 
@@ -117,124 +171,40 @@ class _Prop:
         return self.cache[key]
 
 
-def _shared(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> tuple[Element, ...]:
-    return tuple(e for e in alg_a.universe if e in alg_b.index)
-
-
 def check_axiom(
     name: str,
     ctx: PairContext,
-    ctx_bc: PairContext | None = None,
-    ctx_ac: PairContext | None = None,
     framework: str = "sim",
     policy: CompetitorPolicy = "literal",
 ) -> CheckReport:
-    """Exhaustively check one axiom schema, returning the first counterexample.
+    """Exhaustively check one axiom schema on the (A, B) context ``ctx``,
+    returning the first counterexample in enumeration order.
 
-    ``ctx`` is the (A, B) context.  Three-context schemata additionally take
-    (B, C) and (A, C) contexts; both default to ``ctx``, which covers the
-    single-algebra case.  Single-algebra schemata require A and B to agree.
+    Schemata stated over one or three algebras require A and B to agree.
     """
     if name not in AXIOM_SCHEMATA:
         raise ValueError(f"unknown axiom {name!r}")
     schema = AXIOM_SCHEMATA[name]
-    ctx_bc = ctx_bc if ctx_bc is not None else ctx
-    ctx_ac = ctx_ac if ctx_ac is not None else ctx
-    if schema.context_arity == 1 and ctx.alg_a.universe != ctx.alg_b.universe:
-        raise ValueError(f"{name} is stated over a single algebra")
+    A, B = ctx.alg_a.universe, ctx.alg_b.universe
+    if schema.context_arity != 2 and A != B:
+        raise AlgebraSpecError(
+            f"{name} is checked with A = B, but the universes of"
+            f" {ctx.alg_a.name} and {ctx.alg_b.name} differ"
+        )
     p = _Prop(framework, policy)
-    A = ctx.alg_a.universe
-    B = ctx.alg_b.universe
-    C = ctx_bc.alg_b.universe
-    ce: tuple[Element, ...] | None = None
-
-    if name == "p-reflexivity":
-        for a, b in itertools.product(A, repeat=2):
-            if not p(ctx, (a, b, a, b)):
-                ce = (a, b)
-                break
-    elif name == "p-symmetry":
-        swapped = ctx.swapped()
-        for a, b, c, d in itertools.product(A, A, B, B):
-            if p(ctx, (a, b, c, d)) != p(swapped, (c, d, a, b)):
-                ce = (a, b, c, d)
-                break
-    elif name == "inner-p-symmetry":
-        for a, b, c, d in itertools.product(A, A, B, B):
-            if p(ctx, (a, b, c, d)) != p(ctx, (b, a, d, c)):
-                ce = (a, b, c, d)
-                break
-    elif name == "p-determinism":
-        for a, d in itertools.product(A, repeat=2):
-            if p(ctx, (a, a, a, d)) != (d == a):
-                ce = (a, d)
-                break
-    elif name == "inner-p-reflexivity":
-        for a, c in itertools.product(A, B):
-            if not p(ctx, (a, a, c, c)):
-                ce = (a, c)
-                break
-    elif name == "central-permutation":
-        for a, b, c, d in itertools.product(A, repeat=4):
-            if p(ctx, (a, b, c, d)) != p(ctx, (a, c, b, d)):
-                ce = (a, b, c, d)
-                break
-    elif name == "strong-inner-p-reflexivity":
-        for a, c, d in itertools.product(A, repeat=3):
-            if d != c and p(ctx, (a, a, c, d)):
-                ce = (a, c, d)
-                break
-    elif name == "strong-p-reflexivity":
-        for a, b, d in itertools.product(A, repeat=3):
-            if d != b and p(ctx, (a, b, a, d)):
-                ce = (a, b, d)
-                break
-    elif name == "p-commutativity":
-        for a, b in itertools.product(_shared(ctx.alg_a, ctx.alg_b), repeat=2):
-            if not p(ctx, (a, b, b, a)):
-                ce = (a, b)
-                break
-    elif name == "p-transitivity":
-        for a, b, c, d, e, f in itertools.product(A, A, B, B, C, C):
-            if (
-                p(ctx, (a, b, c, d))
-                and p(ctx_bc, (c, d, e, f))
-                and not p(ctx_ac, (a, b, e, f))
-            ):
-                ce = (a, b, c, d, e, f)
-                break
-    elif name == "inner-p-transitivity":
-        for a, b, e, c, d, f in itertools.product(A, A, A, B, B, B):
-            if (
-                p(ctx, (a, b, c, d))
-                and p(ctx, (b, e, d, f))
-                and not p(ctx, (a, e, c, f))
-            ):
-                ce = (a, b, c, d, e, f)
-                break
-    elif name == "central-p-transitivity":
-        shared_ab = _shared(ctx.alg_a, ctx.alg_b)
-        shared_bc = _shared(ctx_bc.alg_a, ctx_bc.alg_b)
-        for a, b, c, d in itertools.product(A, shared_ab, shared_bc, C):
-            if (
-                p(ctx, (a, b, b, c))
-                and p(ctx_bc, (b, c, c, d))
-                and not p(ctx_ac, (a, b, c, d))
-            ):
-                ce = (a, b, c, d)
-                break
-
-    names = {ctx.alg_a.name, ctx.alg_b.name, ctx_bc.alg_b.name}
+    ba, violated = ctx.swapped(), schema.violated
+    shared = tuple(e for e in A if e in ctx.alg_b.index)
+    ce = next((xs for xs in schema.instances(A, B, shared) if violated(p, ctx, ba, *xs)), None)
     return CheckReport(
         schema=name,
         framework=framework,
         policy=policy,
-        algebras=tuple(sorted(names)),
+        algebras=tuple(sorted({ctx.alg_a.name, ctx.alg_b.name})),
         holds=ce is None,
         counterexample=ce,
         instances=p.instances,
         max_vars=ctx.bounds.max_vars,
-        exact=ctx.saturated and ctx_bc.saturated and ctx_ac.saturated,
+        exact=ctx.saturated,
     )
 
 
@@ -330,8 +300,8 @@ def compare_frameworks(
 ) -> list[tuple[Quadruple, bool, bool]]:
     """All quadruples where the two frameworks disagree, in universe order."""
     out = []
-    for q in itertools.product(ctx.alg_a.universe, ctx.alg_a.universe,
-                               ctx.alg_b.universe, ctx.alg_b.universe):
+    for q in product(ctx.alg_a.universe, ctx.alg_a.universe,
+                     ctx.alg_b.universe, ctx.alg_b.universe):
         s = bool(proportion_sim(*q, ctx, policy))
         r = bool(proportion_rw(*q, ctx))
         if s != r:
@@ -391,7 +361,7 @@ def check_first_iso_theorem(
     ctx = build_pair_context(h.source, h.target, bounds or Bounds())
     violations = []
     instances = 0
-    for a, b in itertools.product(h.source.universe, repeat=2):
+    for a, b in product(h.source.universe, repeat=2):
         image = (h(a), h(b))
         premise = bool(ctx.cont_a[(a, b)]) or not ctx.cont_b[image]
         if premise:
@@ -421,7 +391,7 @@ def check_second_iso_theorem(
     ctx_b = build_pair_context(h.target, bounds=b)
     violations = []
     instances = 0
-    for q in itertools.product(h.source.universe, repeat=4):
+    for q in product(h.source.universe, repeat=4):
         instances += 1
         image = tuple(h(e) for e in q)
         if bool(proportion_sim(*q, ctx_a, policy)) != bool(

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,8 +216,48 @@ class TestErrors:
             main(["--seed", "1", "check", "A1", "a", "b", "a", "b"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "spec, argv",
+        [
+            (None, ["axioms", "A1", "SPREFL"]),
+            (None, ["check", "A1", "A2", "a", "b", "a", "b"]),
+            ("algebra X { universe: a; op f/", ["check", "{path}", "a", "a", "a", "a"]),
+            ("algebra X { universe: a; op x1/1: a -> a; }", ["axioms", "{path}"]),
+        ],
+        ids=["axiom-over-two-algebras", "no-common-language", "spec-ends-after-slash",
+             "op-named-like-a-variable"],
+    )
+    def test_input_error_is_one_error_line(self, capsys, tmp_path, spec, argv):
+        path = tmp_path / "input.spec"
+        if spec is not None:
+            path.write_text(spec)
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_flags_accepted_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "check", "A1", "--format", "machine",
                            "a", "b", "a", "b")
         assert code == 0
         assert out.strip().startswith("sim")
+
+
+class TestParser:
+    def test_consecutive_calls_share_no_parsed_values(self, capsys):
+        default = run(capsys, "check", "A1", "a", "b", "a", "b")
+        assert default[1].startswith("sim a:b ~ a:b: holds")
+        both = run(capsys, "--framework", "both", "--format", "machine",
+                   "check", "A1", "a", "b", "a", "b")
+        assert both != default
+        assert run(capsys, "check", "A1", "a", "b", "a", "b") == default
+
+    def test_built_once_and_not_at_import(self):
+        import aprop.cli
+
+        assert aprop.cli._parser() is aprop.cli._parser()
+        probe = "import aprop.cli; print(aprop.cli._parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"

@@ -65,6 +65,11 @@ class TestParse:
         L = Language((("c", 0),))
         assert parse_term("c", L) == App("c")
 
+    def test_non_decimal_digit_is_not_a_variable(self):
+        # "²" is a digit to str.isdigit but not to int()
+        with pytest.raises(TermSyntaxError):
+            parse_term("x²", L1)
+
 
 class TestCanonicalize:
     def test_single_variable(self):
