@@ -34,7 +34,6 @@ __all__ = [
     "is_isomorphism",
     "solution_set",
     "unique_solution_elements",
-    "is_injective_term",
 ]
 
 Element = str
@@ -163,17 +162,6 @@ def solution_set(
 def unique_solution_elements(s: Term, alg: FiniteAlgebra) -> set[Element]:
     """Elements with exactly one solution of a = s(x) over the term's variables."""
     return {a for a in alg.universe if len(solution_set(s, a, alg)) == 1}
-
-
-def is_injective_term(s: Term, alg: FiniteAlgebra) -> bool:
-    variables = s.variables()
-    seen: set[Element] = set()
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        v = evaluate(s, alg, dict(zip(variables, values)))
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
 
 
 # --- spec file parsing -------------------------------------------------------

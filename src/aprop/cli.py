@@ -17,13 +17,12 @@ import sys
 
 from .algebras import AlgebraSpecError, FiniteAlgebra, is_isomorphism, parse_spec_file
 from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
-from .proportion_rw import proportion_rw, solve_rw
-from .proportion_sim import proportion_sim, solve_sim
 from .similarity import similar
 from .terms import TermSyntaxError
 from .verdicts import ProportionVerdict
 from .verify import (
     AXIOM_SCHEMATA,
+    FRAMEWORKS,
     bundled_algebra,
     check_axiom,
     check_first_iso_theorem,
@@ -50,11 +49,9 @@ def _load_algebras(paths: list[str]) -> tuple[FiniteAlgebra, FiniteAlgebra]:
             algebras.extend(spec.algebras.values())
         else:
             algebras.append(bundled_algebra(path))
-    if len(algebras) == 1:
-        return algebras[0], algebras[0]
-    if len(algebras) == 2:
-        return algebras[0], algebras[1]
-    raise AlgebraSpecError(f"expected one or two algebras, found {len(algebras)}")
+    if len(algebras) not in (1, 2):
+        raise AlgebraSpecError(f"expected one or two algebras, found {len(algebras)}")
+    return algebras[0], algebras[-1]
 
 
 def _bounds(args) -> Bounds:
@@ -69,7 +66,7 @@ def _context(args) -> PairContext:
 
 
 def _frameworks(args) -> list[str]:
-    return ["sim", "rw"] if args.framework == "both" else [args.framework]
+    return list(FRAMEWORKS) if args.framework == "both" else [args.framework]
 
 
 def _verdict_word(v) -> str:
@@ -107,10 +104,7 @@ def cmd_check(args) -> int:
     _require_elements(ctx, (args.a, args.b), (args.c, args.d))
     status = 0
     for fw in _frameworks(args):
-        if fw == "sim":
-            verdict = proportion_sim(args.a, args.b, args.c, args.d, ctx, args.competitors)
-        else:
-            verdict = proportion_rw(args.a, args.b, args.c, args.d, ctx)
+        verdict = FRAMEWORKS[fw].decide((args.a, args.b, args.c, args.d), ctx, args.competitors)
         _print_verdict(args, f"{fw} {args.a}:{args.b} ~ {args.c}:{args.d}", verdict)
         if not verdict:
             status = 1
@@ -122,10 +116,7 @@ def cmd_solve(args) -> int:
     _require_elements(ctx, (args.a, args.b), (args.c,))
     status = 1
     for fw in _frameworks(args):
-        if fw == "sim":
-            found = solve_sim(args.a, args.b, args.c, ctx, args.competitors)
-        else:
-            found = solve_rw(args.a, args.b, args.c, ctx)
+        found = FRAMEWORKS[fw].solve(args.a, args.b, args.c, ctx, args.competitors)
         for d in found:
             print(f"{fw} {d}" if args.framework == "both" else d)
         if found:
@@ -144,9 +135,9 @@ def cmd_similar(args) -> int:
 def cmd_justifications(args) -> int:
     ctx = _context(args)
     _require_elements(ctx, (args.a, args.b), (args.c, args.d))
-    rw = args.framework == "rw"
-    left = (ctx.jus_a if rw else ctx.cont_a)[(args.a, args.b)]
-    right = (ctx.jus_b if rw else ctx.cont_b)[(args.c, args.d)]
+    # "both" lists the indexes of the first framework, sim
+    index_a, index_b = FRAMEWORKS[_frameworks(args)[0]].index(ctx)
+    left, right = index_a[(args.a, args.b)], index_b[(args.c, args.d)]
     shared = left & right
     for title, ids in (("left", left), ("right", right), ("shared", shared)):
         # ids are positions in ctx.relations, so id order is relation order
@@ -169,10 +160,9 @@ def cmd_axioms(args) -> int:
     for fw in _frameworks(args):
         for name in AXIOM_SCHEMATA:
             report = check_axiom(name, ctx, framework=fw, policy=args.competitors)
-            word = "holds" if report.holds else "fails"
             if args.format == "machine":
                 ce = ",".join(report.counterexample) if report.counterexample else "-"
-                print(f"axiom {fw} {name} {word} {ce} exact={int(report.exact)}")
+                print(f"axiom {fw} {name} {_verdict_word(report)} {ce} exact={int(report.exact)}")
             elif report.holds:
                 print(f"{fw} {name}: holds ({report.instances} instances)")
             else:
@@ -242,7 +232,7 @@ def _add_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument(
-        "--framework", choices=["sim", "rw", "both"], default=default("sim")
+        "--framework", choices=[*FRAMEWORKS, "both"], default=default("sim")
     )
     parser.add_argument("--max-depth", type=int, default=default(None))
     parser.add_argument("--max-vars", type=int, default=default(2))

@@ -17,11 +17,12 @@ __all__ = [
     "ArrowPattern",
     "RewriteRule",
     "TermSyntaxError",
+    "MAX_TERM_DEPTH",
     "parse_term",
-    "canonicalize",
-    "variables_of",
-    "is_rewrite_rule",
 ]
+
+# The deepest term parse_term accepts: Term.key, and so str and depth, recurse once per level.
+MAX_TERM_DEPTH = 200
 
 
 class TermSyntaxError(ValueError):
@@ -154,26 +155,6 @@ class RewriteRule:
         return f"{self.lhs} ->> {self.rhs}"
 
 
-def variables_of(t: Term) -> tuple[int, ...]:
-    return t.variables()
-
-
-def is_rewrite_rule(p: ArrowPattern) -> bool:
-    return set(p.rhs.variables()) <= set(p.lhs.variables())
-
-
-def canonicalize(t: Term) -> Term:
-    """Renumber variables to x0, x1, ... in first-occurrence order."""
-    mapping = {v: i for i, v in enumerate(t.variables())}
-    return _rename(t, mapping)
-
-
-def _rename(t: Term, mapping: dict[int, int]) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping[t.index])
-    return App(t.symbol, tuple(_rename(c, mapping) for c in t.children))
-
-
 class _Parser:
     def __init__(self, text: str, language: Language):
         self.text = text
@@ -205,7 +186,7 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
         start = self.pos
         name = self.ident()
         if _is_variable_name(name):
@@ -215,11 +196,13 @@ class _Parser:
         rank = self.language.rank[name]
         children: tuple[Term, ...] = ()
         if self.peek() == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise TermSyntaxError(f"term deeper than {MAX_TERM_DEPTH} levels", self.pos)
             self.expect("(")
-            args = [self.term()]
+            args = [self.term(depth + 1)]
             while self.peek() == ",":
                 self.expect(",")
-                args.append(self.term())
+                args.append(self.term(depth + 1))
             self.expect(")")
             children = tuple(args)
         if len(children) != rank:

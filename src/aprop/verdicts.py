@@ -14,10 +14,9 @@ CompetitorPolicy = str
 POLICIES = ("literal", "all")
 
 
-def check_policy(policy: CompetitorPolicy) -> CompetitorPolicy:
+def check_policy(policy: CompetitorPolicy) -> None:
     if policy not in POLICIES:
         raise ValueError(f"unknown competitor policy {policy!r}")
-    return policy
 
 
 def _base(ctx, policy: str) -> dict:

@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
+from typing import NamedTuple
 
 from .algebras import (
     AlgebraSpecError,
@@ -25,12 +26,14 @@ from .algebras import (
     parse_spec_file,
 )
 from .clone import Bounds, PairContext, build_pair_context
-from .proportion_rw import proportion_rw
-from .proportion_sim import arrow_lesssim, proportion_sim
+from .proportion_rw import proportion_rw, solve_rw
+from .proportion_sim import arrow_lesssim, proportion_sim, solve_sim
 from .terms import Language
-from .verdicts import CompetitorPolicy, check_policy
+from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
+    "Framework",
+    "FRAMEWORKS",
     "AxiomSchema",
     "AXIOM_SCHEMATA",
     "CheckReport",
@@ -50,6 +53,30 @@ __all__ = [
 ]
 
 Quadruple = tuple[Element, Element, Element, Element]
+
+
+class Framework(NamedTuple):
+    """How one relation decides a quadruple, solves for d and indexes its arrows."""
+
+    decide: Callable[[Quadruple, PairContext, CompetitorPolicy], ProportionVerdict]
+    solve: Callable[..., list[Element]]
+    index: Callable[[PairContext], tuple[dict, dict]]
+
+
+# The lambdas look each function up when called, so a module attribute replaced
+# at run time (a tracing wrapper) is called too.  rw ignores the competitor policy.
+FRAMEWORKS: dict[str, Framework] = {
+    "sim": Framework(
+        lambda q, ctx, policy: proportion_sim(*q, ctx, policy),
+        lambda a, b, c, ctx, policy: solve_sim(a, b, c, ctx, policy),
+        lambda ctx: (ctx.cont_a, ctx.cont_b),
+    ),
+    "rw": Framework(
+        lambda q, ctx, policy: proportion_rw(*q, ctx),
+        lambda a, b, c, ctx, policy: solve_rw(a, b, c, ctx),
+        lambda ctx: (ctx.jus_a, ctx.jus_b),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -152,10 +179,10 @@ class _Prop:
     """Cached proportion decisions of one framework over fixed contexts."""
 
     def __init__(self, framework: str, policy: CompetitorPolicy):
-        if framework not in ("sim", "rw"):
+        if framework not in FRAMEWORKS:
             raise ValueError(f"unknown framework {framework!r}")
         check_policy(policy)
-        self.framework = framework
+        self.decide = FRAMEWORKS[framework].decide
         self.policy = policy
         self.cache: dict[tuple[int, Quadruple], bool] = {}
         self.instances = 0
@@ -163,10 +190,7 @@ class _Prop:
     def __call__(self, ctx: PairContext, q: Quadruple) -> bool:
         key = (id(ctx), q)
         if key not in self.cache:
-            if self.framework == "sim":
-                self.cache[key] = bool(proportion_sim(*q, ctx, self.policy))
-            else:
-                self.cache[key] = bool(proportion_rw(*q, ctx))
+            self.cache[key] = bool(self.decide(q, ctx, self.policy))
         self.instances += 1
         return self.cache[key]
 
@@ -180,16 +204,16 @@ def check_axiom(
     """Exhaustively check one axiom schema on the (A, B) context ``ctx``,
     returning the first counterexample in enumeration order.
 
-    Schemata stated over one or three algebras require A and B to agree.
+    Schemata over one or three algebras need A = B: one universe, one set of tables.
     """
     if name not in AXIOM_SCHEMATA:
         raise ValueError(f"unknown axiom {name!r}")
     schema = AXIOM_SCHEMATA[name]
     A, B = ctx.alg_a.universe, ctx.alg_b.universe
-    if schema.context_arity != 2 and A != B:
+    if schema.context_arity != 2 and (A, ctx.alg_a.tables) != (B, ctx.alg_b.tables):
         raise AlgebraSpecError(
-            f"{name} is checked with A = B, but the universes of"
-            f" {ctx.alg_a.name} and {ctx.alg_b.name} differ"
+            f"{name} is checked with A = B, but {ctx.alg_a.name} and"
+            f" {ctx.alg_b.name} differ in their universes or tables"
         )
     p = _Prop(framework, policy)
     ba, violated = ctx.swapped(), schema.violated
@@ -302,8 +326,7 @@ def compare_frameworks(
     out = []
     for q in product(ctx.alg_a.universe, ctx.alg_a.universe,
                      ctx.alg_b.universe, ctx.alg_b.universe):
-        s = bool(proportion_sim(*q, ctx, policy))
-        r = bool(proportion_rw(*q, ctx))
+        s, r = (bool(fw.decide(q, ctx, policy)) for fw in FRAMEWORKS.values())
         if s != r:
             out.append((q, s, r))
     return out
@@ -409,20 +432,18 @@ def check_second_iso_theorem(
 
 def random_algebra(
     rng: random.Random,
-    min_universe: int = 2,
     max_universe: int = 4,
     max_symbols: int = 2,
-    name: str = "random",
 ) -> FiniteAlgebra:
-    """A random algebra with unary operations over a small letter universe."""
-    size = rng.randint(min_universe, max_universe)
+    """A random algebra with unary operations over 2 to ``max_universe`` letters."""
+    size = rng.randint(2, max_universe)
     universe = tuple("abcd"[:size])
     count = rng.randint(0, max_symbols)
     symbols = tuple((chr(ord("f") + i), 1) for i in range(count))
     tables = {
         sym: {(e,): rng.choice(universe) for e in universe} for sym, _ in symbols
     }
-    return FiniteAlgebra(name, Language(symbols), universe, tables)
+    return FiniteAlgebra("random", Language(symbols), universe, tables)
 
 
 def random_relabeling(

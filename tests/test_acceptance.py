@@ -206,6 +206,12 @@ class TestOracleEquivalence:
                     mismatches.append((tables["f"], *found))
         assert mismatches == []
 
+    @pytest.mark.parametrize("name", bundled_algebra_names())
+    def test_bundled_algebras(self, name):
+        alg = bundled_algebra(name)
+        ctx = build_pair_context(alg, bounds=BOUNDS)
+        assert oracle_mismatches(alg, ctx, ("literal", "all")) == []
+
     @pytest.mark.parametrize("n, op", [(2, "add"), (3, "add"), (3, "join")])
     def test_binary_operations(self, n, op):
         universe = tuple("abc"[:n])

@@ -8,7 +8,6 @@ from aprop.algebras import (
     Mapping,
     evaluate,
     is_homomorphism,
-    is_injective_term,
     is_isomorphism,
     load_algebra,
     parse_spec_file,
@@ -186,17 +185,6 @@ class TestSolutionSets:
         assert unique_solution_elements(s, A2) == {"c", "d"}
         s = parse_term("f(x0)", PCOMM.language)
         assert unique_solution_elements(s, PCOMM) == set()
-
-
-class TestInjectivity:
-    def test_projection(self):
-        assert is_injective_term(parse_term("x0", A2.language), A2)
-
-    def test_merging_function(self):
-        assert not is_injective_term(parse_term("f(x0)", A2.language), A2)
-
-    def test_permutation(self):
-        assert is_injective_term(parse_term("f(x0)", SIREFL.language), SIREFL)
 
 
 def test_solution_sets_partition_assignments():

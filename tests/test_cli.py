@@ -10,6 +10,12 @@ from aprop.clone import Bounds, build_pair_context
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
+P_AND_Q = """
+algebra P { universe: a, b; op f/1: a -> b, b -> a; }
+algebra Q { universe: a, b; op f/1: a -> a, b -> b; }
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -202,12 +208,13 @@ class TestErrors:
         assert err.startswith("error: class cap 2 exceeded")
 
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        import aprop.cli
+        import aprop.verify
 
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(aprop.cli, "proportion_sim", broken)
+        # the CLI decides through aprop.verify.FRAMEWORKS, which reads this name
+        monkeypatch.setattr(aprop.verify, "proportion_sim", broken)
         with pytest.raises(KeyError):
             main(["check", "A1", "a", "b", "a", "b"])
 
@@ -223,9 +230,10 @@ class TestErrors:
             (None, ["check", "A1", "A2", "a", "b", "a", "b"]),
             ("algebra X { universe: a; op f/", ["check", "{path}", "a", "a", "a", "a"]),
             ("algebra X { universe: a; op x1/1: a -> a; }", ["axioms", "{path}"]),
+            (P_AND_Q, ["--format", "machine", "axioms", "{path}"]),
         ],
         ids=["axiom-over-two-algebras", "no-common-language", "spec-ends-after-slash",
-             "op-named-like-a-variable"],
+             "op-named-like-a-variable", "axiom-over-two-tables"],
     )
     def test_input_error_is_one_error_line(self, capsys, tmp_path, spec, argv):
         path = tmp_path / "input.spec"
@@ -235,6 +243,12 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_axioms_on_one_algebra_named_twice(self, capsys):
+        once = run(capsys, "--format", "machine", "--framework", "both", "axioms", "A2")
+        twice = run(capsys, "--format", "machine", "--framework", "both", "axioms", "A2", "A2")
+        assert twice == once
+        assert once[1].count("\n") == 2 * 12
 
     def test_flags_accepted_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "check", "A1", "--format", "machine",

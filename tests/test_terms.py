@@ -1,16 +1,14 @@
 import pytest
 
+from aprop.algebras import FiniteAlgebra, evaluate
 from aprop.terms import (
+    MAX_TERM_DEPTH,
     App,
-    ArrowPattern,
     Language,
     RewriteRule,
     TermSyntaxError,
     Var,
-    canonicalize,
-    is_rewrite_rule,
     parse_term,
-    variables_of,
 )
 
 L1 = Language((("f", 1),))
@@ -71,54 +69,62 @@ class TestParse:
             parse_term("x²", L1)
 
 
-class TestCanonicalize:
-    def test_single_variable(self):
-        assert canonicalize(parse_term("f(x7)", L1)) == parse_term("f(x0)", L1)
+class TestDepthBound:
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(TermSyntaxError):
+            parse_term("f(" * 1200 + "x0" + ")" * 1200, L1)
 
-    def test_repeated_variable(self):
-        assert canonicalize(parse_term("g(x2,x2)", L2)) == parse_term("g(x0,x0)", L2)
+    def test_one_level_past_the_bound_is_refused(self):
+        n = MAX_TERM_DEPTH + 1
+        with pytest.raises(TermSyntaxError):
+            parse_term("f(" * n + "x0" + ")" * n, L1)
 
-    def test_first_occurrence_order(self):
-        assert canonicalize(parse_term("g(x5,x1)", L2)) == parse_term("g(x0,x1)", L2)
-
-    def test_idempotent(self):
-        for text in ("f(x7)", "g(x5,x1)", "g(x2,x2)", "g(f(x9),x9)"):
-            t = canonicalize(parse_term(text, L2))
-            assert canonicalize(t) == t
+    def test_a_term_at_the_bound_is_usable(self):
+        n = MAX_TERM_DEPTH
+        text = "g(" + "f(" * (n - 1) + "x0" + ")" * (n - 1) + ",x1)"
+        t = parse_term(text, L2)
+        assert str(t) == text
+        assert t.key == (n, text)
+        assert t.variables() == (0, 1)
+        alg = FiniteAlgebra(
+            "Z2", L2, ("a", "b"),
+            {"f": {("a",): "b", ("b",): "a"},
+             "g": {(x, y): x for x in "ab" for y in "ab"}},
+        )
+        # n - 1 swaps of x0 = a
+        assert evaluate(t, alg, {0: "a", 1: "a"}) == "ab"[(n - 1) % 2]
 
 
 class TestVariables:
     def test_single(self):
-        assert variables_of(Var(0)) == (0,)
+        assert Var(0).variables() == (0,)
 
     def test_constant(self):
         L = Language((("c", 0),))
-        assert variables_of(parse_term("c", L)) == ()
+        assert parse_term("c", L).variables() == ()
 
     def test_first_occurrence_order(self):
-        assert variables_of(parse_term("g(x1,f(x0))", L2)) == (1, 0)
+        assert parse_term("g(x1,f(x0))", L2).variables() == (1, 0)
 
     def test_rank_is_variable_count(self):
         for text in ("x0", "f(x0)", "g(x1,f(x0))", "g(x0,x0)"):
             t = parse_term(text, L2)
-            assert t.rank == len(variables_of(t))
+            assert t.rank == len(t.variables())
 
 
 class TestRewriteRules:
     def test_identity_is_rule(self):
-        assert is_rewrite_rule(ArrowPattern(Var(0), Var(0)))
+        assert RewriteRule(Var(0), Var(0)).rhs == Var(0)
 
     def test_fresh_variable_is_not(self):
-        assert not is_rewrite_rule(ArrowPattern(Var(0), Var(1)))
-
-    def test_subset_check(self):
-        p = ArrowPattern(parse_term("g(x0,x1)", L2), parse_term("f(x1)", L2))
-        assert is_rewrite_rule(p)
+        with pytest.raises(ValueError):
+            RewriteRule(Var(0), Var(1))
 
     def test_rewrite_rule_validates(self):
         with pytest.raises(ValueError):
-            RewriteRule(Var(0), Var(1))
+            RewriteRule(parse_term("f(x1)", L2), parse_term("g(x0,x1)", L2))
         RewriteRule(parse_term("g(x0,x1)", L2), Var(1))
+        RewriteRule(parse_term("g(x0,x1)", L2), parse_term("f(x1)", L2))
 
 
 L3 = Language((("c", 0), ("f", 1), ("g", 2)))

@@ -4,10 +4,13 @@ import random
 import pytest
 
 from aprop import Bounds, Mapping, build_pair_context
-from aprop.algebras import AlgebraSpecError
-from aprop.proportion_sim import proportion_sim
+import aprop.verify
+from aprop.algebras import AlgebraSpecError, parse_spec_file
+from aprop.proportion_rw import proportion_rw, solve_rw
+from aprop.proportion_sim import proportion_sim, solve_sim
 from aprop.verify import (
     AXIOM_SCHEMATA,
+    FRAMEWORKS,
     bundled_algebra,
     bundled_algebra_names,
     check_axiom,
@@ -36,6 +39,40 @@ class TestSchemata:
             check_axiom("associativity", contexts("A1"))
 
 
+class TestFrameworks:
+    def test_records_match_the_functions(self, contexts):
+        ctx = contexts("EAABB")
+        assert list(FRAMEWORKS) == ["sim", "rw"]
+        sim, rw = FRAMEWORKS["sim"], FRAMEWORKS["rw"]
+        for q in itertools.product(ctx.alg_a.universe, repeat=4):
+            for policy in ("literal", "all"):
+                assert sim.decide(q, ctx, policy) == proportion_sim(*q, ctx, policy)
+                assert rw.decide(q, ctx, policy) == proportion_rw(*q, ctx)
+        for a, b, c in itertools.product(ctx.alg_a.universe, repeat=3):
+            assert sim.solve(a, b, c, ctx, "all") == solve_sim(a, b, c, ctx, "all")
+            assert rw.solve(a, b, c, ctx, "all") == solve_rw(a, b, c, ctx)
+        assert sim.index(ctx) == (ctx.cont_a, ctx.cont_b)
+        assert rw.index(ctx) == (ctx.jus_a, ctx.jus_b)
+
+    def test_records_look_the_functions_up_when_called(self, contexts, monkeypatch):
+        calls = []
+        for name in ("proportion_sim", "proportion_rw", "solve_sim", "solve_rw"):
+            monkeypatch.setattr(
+                aprop.verify, name, lambda *args, name=name: calls.append(name) or []
+            )
+        ctx, q = contexts("A1"), ("a", "b", "a", "b")
+        for fw in FRAMEWORKS.values():
+            fw.decide(q, ctx, "literal")
+            fw.solve(*q[:3], ctx, "literal")
+        assert calls == ["proportion_sim", "solve_sim", "proportion_rw", "solve_rw"]
+
+    def test_unknown_framework_rejected(self, contexts):
+        with pytest.raises(ValueError):
+            check_axiom("p-reflexivity", contexts("A1"), framework="both")
+        with pytest.raises(ValueError):
+            run_paper_vectors("quad A1 analogy literal a b a b holds")
+
+
 class TestCheckAxiom:
     def test_inner_p_reflexivity_sim_counterexample(self, contexts):
         report = check_axiom("inner-p-reflexivity", contexts("EAABB"))
@@ -55,6 +92,28 @@ class TestCheckAxiom:
         a, c, d = report.counterexample
         assert d != c
         assert proportion_sim(a, a, c, d, ctx, report.policy)
+
+    def test_one_algebra_schemata_need_the_same_tables(self):
+        spec = parse_spec_file(
+            "algebra P { universe: a, b; op f/1: a -> b, b -> a; }"
+            "algebra Q { universe: a, b; op f/1: a -> a, b -> b; }"
+        )
+        ctx = build_pair_context(spec.algebras["P"], spec.algebras["Q"])
+        for name, schema in AXIOM_SCHEMATA.items():
+            if schema.context_arity == 2:
+                check_axiom(name, ctx)
+            else:
+                with pytest.raises(AlgebraSpecError):
+                    check_axiom(name, ctx)
+
+    def test_same_tables_under_two_names(self, contexts):
+        copy = parse_spec_file(
+            "algebra B2 { universe: a, b, c, d; op f/1: a -> b, b -> b, c -> c, d -> d; }"
+        ).algebras["B2"]
+        ctx = build_pair_context(bundled_algebra("A2"), copy)
+        for name in AXIOM_SCHEMATA:
+            got, want = check_axiom(name, ctx), check_axiom(name, contexts("A2"))
+            assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
 
     def test_exactness_recorded(self, contexts):
         report = check_axiom("p-reflexivity", contexts("A2"))
