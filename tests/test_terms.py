@@ -124,7 +124,10 @@ class TestRewriteRules:
         with pytest.raises(ValueError):
             RewriteRule(parse_term("f(x1)", L2), parse_term("g(x0,x1)", L2))
         RewriteRule(parse_term("g(x0,x1)", L2), Var(1))
-        RewriteRule(parse_term("g(x0,x1)", L2), parse_term("f(x1)", L2))
+
+    def test_subset_check(self):
+        rule = RewriteRule(parse_term("g(x0,x1)", L2), parse_term("f(x1)", L2))
+        assert set(rule.rhs.variables()) <= set(rule.lhs.variables())
 
 
 L3 = Language((("c", 0), ("f", 1), ("g", 2)))
