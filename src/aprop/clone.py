@@ -238,6 +238,21 @@ def _pair_key(s: Term, t: Term) -> tuple[int, str, str]:
     return (depth_s + depth_t, str_s, str_t)
 
 
+def _bitmask(ids) -> int:
+    """The int with bit i set for every id i in ``ids``.
+
+    Written as binary digits and parsed once: linear in the largest id,
+    where or-ing in one shifted bit per id is quadratic.
+    """
+    if not ids:
+        return 0
+    top = max(ids)
+    digits = bytearray(b"0") * (top + 1)
+    for i in ids:
+        digits[top - i] = 49  # "1"
+    return int(digits, 2)
+
+
 def _ids_containing(keys, member_sets) -> dict:
     """Key -> ids (positions in ``member_sets``) of the sets containing it."""
     out = {key: set() for key in keys}
@@ -255,7 +270,8 @@ class PairContext:
     ``clone.classes`` (``elem_up_*``) or ``relations`` (``cont_*``, ``jus_*``).
     ``swapped()`` is the mirror on (B, A), built once and linked both ways;
     it shares ``clone`` and ``relations``, and each of its indexes is this
-    context's opposite-side one.
+    context's opposite-side one.  ``bitmasks`` gives an index with its id sets
+    as ints, for the verdict kernel.
     """
 
     alg_a: FiniteAlgebra
@@ -266,6 +282,9 @@ class PairContext:
     mirror_of: PairContext | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The verdict layer's memo of this side, not shared with the mirror:
+    # (arrow relation, policy) -> (codes by arrow-pair number, interned codes).
+    arrow_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def saturated(self) -> bool:
@@ -337,6 +356,24 @@ class PairContext:
             len(cls.image_a) == len(self.clone.alg_a.universe)
             and len(cls.image_b) == len(self.clone.alg_b.universe)
         )
+
+    def bitmasks(self, index: str) -> dict:
+        """The index named ``index`` (``"cont_a"``, ``"jus_b"``, ``"elem_up_a"``, ...)
+        with every id set as an int whose bit i is set for id i.
+
+        Derived on first use, not by the build; the mirror reads this
+        context's opposite-side view.
+        """
+        if self.mirror_of is not None:
+            return self.mirror_of.bitmasks(index[:-1] + ("b" if index[-1] == "a" else "a"))
+        views = self._bitmask_views
+        if index not in views:
+            views[index] = {key: _bitmask(ids) for key, ids in getattr(self, index).items()}
+        return views[index]
+
+    @cached_property
+    def _bitmask_views(self) -> dict[str, dict]:
+        return {}
 
     def swapped(self) -> PairContext:
         """The same context with the roles of the two algebras exchanged."""

@@ -20,10 +20,11 @@ from .algebras import (
 )
 from .clone import PairContext
 from .terms import RewriteRule, Term
-from .verdicts import ProportionVerdict
+from .verdicts import HOLDING, ArrowRelation, ProportionVerdict
 
 __all__ = [
     "Arrow",
+    "RW",
     "arrow_proportion_rw",
     "proportion_rw",
     "jus_membership_via_solutions",
@@ -37,22 +38,25 @@ __all__ = [
 Arrow = tuple[Element, Element]
 
 
+def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: str) -> tuple:
+    # The competitors are the arrows c -> d' of B, c = ar2[0], in order.
+    competitors = [(ar2[0], d) for d in side.alg_b.universe]
+    return side.bitmasks("jus_a")[ar1], side.bitmasks("jus_b"), competitors, None
+
+
+RW = ArrowRelation(":.", "->".join, _operands, "d-only")
+
+
 def arrow_proportion_rw(ar1: Arrow, ar2: Arrow, ctx: PairContext) -> ProportionVerdict:
     """The arrow proportion ar1 transforms-as ar2, decided by d-maximality."""
-    # The competitors are the arrows c -> d' of B, c = ar2[0], in order.
-    return ProportionVerdict.of_maximality(
-        ctx.jus_a[ar1], ctx.jus_b, ar2, itertools.product((ar2[0],), ctx.alg_b.universe),
-        "->".join, ctx.relations.__getitem__, ctx, "d-only",
-    )
+    return RW.verdict(ar1, ar2, ctx, "d-only")
 
 
 def proportion_rw(
     a: Element, b: Element, c: Element, d: Element, ctx: PairContext
 ) -> ProportionVerdict:
     """The entailment relation a:b :: c:d over (A, B)."""
-    return ProportionVerdict.of_conjuncts(
-        a, b, c, d, ctx, arrow_proportion_rw, ":.", "d-only"
-    )
+    return ProportionVerdict.of_conjuncts(RW, (a, b, c, d), ctx, "d-only")
 
 
 def rule_in_jus(
@@ -155,8 +159,9 @@ def uniqueness_lemma_check(
         and c in unique_solution_elements(rule.lhs, alg_b)
         and d in unique_solution_elements(rule.rhs, alg_b)
     )
-    conclusion_arrow = bool(arrow_proportion_rw((a, b), (c, d), ctx))
-    conclusion_full = bool(proportion_rw(a, b, c, d, ctx))
+    # read from the memo of arrow codes, without building verdicts
+    conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING
+    conclusion_full = RW.decider(ctx, "d-only")(ctx, (a, b, c, d))
     return UniquenessReport(
         rule=str(rule),
         quadruple=(a, b, c, d),

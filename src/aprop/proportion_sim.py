@@ -13,10 +13,11 @@ import itertools
 from .algebras import Element, FiniteAlgebra, evaluate
 from .clone import PairContext
 from .terms import ArrowPattern
-from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
+from .verdicts import ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
     "Arrow",
+    "SIM",
     "arrow_lesssim",
     "proportion_sim",
     "is_characteristic_justification_set",
@@ -27,6 +28,15 @@ __all__ = [
 Arrow = tuple[Element, Element]
 
 
+def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: CompetitorPolicy) -> tuple:
+    # The competitors are every arrow of B: the keys of cont_b, in order.
+    right = side.bitmasks("cont_b")
+    return side.bitmasks("cont_a")[ar1], right, right, ar1 if policy == "literal" else None
+
+
+SIM = ArrowRelation("<~", "->".join, _operands)
+
+
 def arrow_lesssim(
     ar1: Arrow,
     ar2: Arrow,
@@ -35,11 +45,7 @@ def arrow_lesssim(
 ) -> ProportionVerdict:
     """Directed arrow comparison ar1 <~ ar2 over (A, B)."""
     check_policy(policy)
-    # The competitors are every arrow of B: the keys of cont_b, in order.
-    return ProportionVerdict.of_maximality(
-        ctx.cont_a[ar1], ctx.cont_b, ar2, ctx.cont_b, "->".join,
-        ctx.relations.__getitem__, ctx, policy, ar1 if policy == "literal" else None,
-    )
+    return SIM.verdict(ar1, ar2, ctx, policy)
 
 
 def proportion_sim(
@@ -51,9 +57,7 @@ def proportion_sim(
     policy: CompetitorPolicy = "literal",
 ) -> ProportionVerdict:
     """The similarity-based analogical proportion a:b ~ c:d over (A, B)."""
-    return ProportionVerdict.of_conjuncts(
-        a, b, c, d, ctx, arrow_lesssim, "<~", policy, (policy,)
-    )
+    return ProportionVerdict.of_conjuncts(SIM, (a, b, c, d), ctx, policy)
 
 
 def pattern_relation(

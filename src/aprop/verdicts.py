@@ -1,10 +1,20 @@
-"""Decision certificates returned by similarity and proportion queries."""
+"""Decision certificates returned by similarity and proportion queries.
+
+Every directed comparison goes through one maximality kernel over int
+bitmask id sets, which returns a small code: (reason, lowest shared id or
+-1, position of the dominating competitor or -1).  Arrow codes are memoized
+per context side; a ``ProportionVerdict`` is built from codes only when one
+is asked for.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
-__all__ = ["ProportionVerdict", "CompetitorPolicy", "check_policy"]
+__all__ = ["ProportionVerdict", "ArrowRelation", "CompetitorPolicy", "check_policy"]
 
 # How the maximality quantifier ranges over competitors.
 #   "literal": competitors exclude the left-hand element/arrow, reading the
@@ -12,6 +22,10 @@ __all__ = ["ProportionVerdict", "CompetitorPolicy", "check_policy"]
 #   "all":     competitors range over the whole universe.
 CompetitorPolicy = str
 POLICIES = ("literal", "all")
+
+ALL_TRIVIAL = ("all-trivial", -1, -1)
+EMPTY_INTERSECTION = ("empty-intersection", -1, -1)
+HOLDING = ("all-trivial", "maximal")  # the reasons of codes that hold
 
 
 def check_policy(policy: CompetitorPolicy) -> None:
@@ -27,6 +41,28 @@ def _base(ctx, policy: str) -> dict:
         depth=ctx.clone.depth_reached,
         policy=policy,
     )
+
+
+def _decide(left: int, right: dict, target, competitors, skip) -> tuple[str, int, int]:
+    """The code of ``target``'s share ``left & right[target]``: the maximality kernel.
+
+    ``target`` is dominated by the first competitor ``e`` (``skip`` excluded)
+    whose share ``left & right[e]`` is a strict superset.  Id sets are int
+    bitmasks, so the lowest set bit is the least shared id.
+    """
+    right_ids = right[target]
+    if not left and not right_ids:
+        return ALL_TRIVIAL
+    shared = left & right_ids
+    if not shared:
+        return EMPTY_INTERSECTION
+    low = (shared & -shared).bit_length() - 1
+    for pos, e in enumerate(competitors):
+        if e != skip:
+            ids = right[e]
+            if ids & shared == shared and left & ids != shared:
+                return ("dominated", low, pos)
+    return ("maximal", low, -1)
 
 
 @dataclass(frozen=True)
@@ -55,68 +91,154 @@ class ProportionVerdict:
 
     @classmethod
     def of_maximality(
-        cls, left, right, target, competitors, label, witness, ctx, policy, skip=None
+        cls, left, right, target, competitors, label, witness, ctx, policy, skip=None,
+        code=None,
     ) -> ProportionVerdict:
         """Whether ``target`` keeps a maximal share ``left & right[target]``.
 
-        It is dominated by the first competitor ``e`` (``skip`` excluded)
-        whose share ``left & right[e]`` is a strict superset; each scanned
-        competitor is recorded as ``label(e):sub`` or ``label(e):nosub``.
-        ``str(witness(min(shared)))`` is the witness.
+        ``left`` and the values of ``right`` are bitmask id sets.  The kernel
+        decides the code unless it is given.  Each competitor scanned up to
+        the dominating one (``skip`` excluded) is recorded as
+        ``label(e):sub`` or ``label(e):nosub``; ``str(witness(id))`` of the
+        least shared id is the witness.
         """
-        right_ids = right[target]
-        if not left and not right_ids:
-            return cls(True, "all-trivial", **_base(ctx, policy))
-        shared = left & right_ids
-        if not shared:
-            return cls(False, "empty-intersection", **_base(ctx, policy))
-        found = str(witness(min(shared)))
+        reason, low, pos = code or _decide(left, right, target, competitors, skip)
+        if low < 0:
+            return cls(reason == "all-trivial", reason, **_base(ctx, policy))
+        shared = left & right[target]
         comparisons = []
-        for e in competitors:
-            if e == skip:
-                continue
-            other = left & right[e]
-            if shared <= other:
-                comparisons.append(f"{label(e)}:sub")
-                if not other <= shared:
-                    return cls(
-                        False, "dominated", witness=found, competitor=label(e),
-                        comparisons=tuple(comparisons), **_base(ctx, policy),
-                    )
-            else:
-                comparisons.append(f"{label(e)}:nosub")
+        for e in islice(competitors, None if pos < 0 else pos + 1):
+            if e != skip:
+                sub = right[e] & shared == shared
+                comparisons.append(f"{label(e)}:{'sub' if sub else 'nosub'}")
         return cls(
-            True, "maximal", witness=found, comparisons=tuple(comparisons),
-            **_base(ctx, policy),
+            pos < 0, reason, witness=str(witness(low)),
+            competitor=None if pos < 0 else label(e),
+            comparisons=tuple(comparisons), **_base(ctx, policy),
         )
 
     @classmethod
-    def of_conjuncts(
-        cls, a, b, c, d, ctx, arrow, sign, policy, args=()
-    ) -> ProportionVerdict:
-        """a:b ? c:d as four directed verdicts ``arrow(ar1, ar2, side, *args)``.
+    def of_conjuncts(cls, relation: ArrowRelation, q, ctx, policy) -> ProportionVerdict:
+        """a:b <sign> c:d from the four memoized codes of ``relation``.
 
         The last two run on ``ctx.swapped()``.  The first failing conjunct,
         named ``ar1 <sign> ar2``, decides; else the first witness is kept.
+        Only the deciding conjunct's witness and competitor are formatted.
         """
-        swapped = ctx.swapped()
-        witness = None
+        a, b, c, d = q
+        policy, swapped = relation.policy or policy, ctx.swapped()
+        first = -1
         for ar1, ar2, side in (
             ((a, b), (c, d), ctx),
             ((b, a), (d, c), ctx),
             ((c, d), (a, b), swapped),
             ((d, c), (b, a), swapped),
         ):
-            verdict = arrow(ar1, ar2, side, *args)
-            if not verdict:
+            reason, low, pos = relation.code(ar1, ar2, side, policy)
+            if reason not in HOLDING:
+                competitor = None
+                if pos >= 0:
+                    competitors = relation.operands(ar1, ar2, side, policy)[2]
+                    competitor = relation.label(next(islice(competitors, pos, None)))
                 return cls(
                     False, "conjunct-failed",
-                    failed_conjunct=f"{ar1[0]}->{ar1[1]} {sign} {ar2[0]}->{ar2[1]}",
-                    competitor=verdict.competitor, witness=verdict.witness,
+                    failed_conjunct=f"{ar1[0]}->{ar1[1]} {relation.sign} {ar2[0]}->{ar2[1]}",
+                    competitor=competitor,
+                    witness=None if low < 0 else str(ctx.relations[low]),
                     **_base(ctx, policy),
                 )
-            witness = witness or verdict.witness
+            if first < 0:
+                first = low
         return cls(
-            True, "maximal" if witness else "all-trivial", witness=witness,
+            True, "maximal" if first >= 0 else "all-trivial",
+            witness=None if first < 0 else str(ctx.relations[first]),
             **_base(ctx, policy),
         )
+
+
+class ArrowRelation(NamedTuple):
+    """A directed arrow relation ``ar1 <sign> ar2``, decided by the kernel.
+
+    ``operands(ar1, ar2, side, policy)`` gives the kernel's left id set, the
+    right-hand index (both as bitmask views), the competitors of ``ar2`` as
+    a re-iterable sequence and the competitor to skip, or None.  ``label``
+    names a competitor arrow.  ``policy`` is the competitor policy every
+    verdict of the relation reports, or None when the caller's applies.
+    """
+
+    sign: str
+    label: Callable[[tuple], str]
+    operands: Callable[..., tuple]
+    policy: CompetitorPolicy | None = None
+
+    def table(self, side, policy) -> list:
+        """The memo of ``side``: one flat list of codes per (relation, policy).
+
+        A code sits at the arrow-pair number ((i(x)|A| + i(y))|B| + i(z))|B| + i(w)
+        of ar1 = (x, y), ar2 = (z, w); None marks a pair not decided yet.
+        ``policy`` is the relation's own when it has one.
+        """
+        memo = side.arrow_codes.get((self, policy))
+        if memo is None:
+            if self.policy is None:
+                check_policy(policy)
+            size = len(side.alg_a.universe) * len(side.alg_b.universe)
+            memo = side.arrow_codes[self, policy] = ([None] * size * size, {})
+        return memo[0]
+
+    def code(self, ar1, ar2, side, policy) -> tuple[str, int, int]:
+        """The code of ar1 <sign> ar2 on ``side``, decided once per side and policy."""
+        codes = self.table(side, policy)
+        ia, ib = side.alg_a.index, side.alg_b.index
+        k = ((ia[ar1[0]] * len(ia) + ia[ar1[1]]) * len(ib) + ib[ar2[0]]) * len(ib) + ib[ar2[1]]
+        code = codes[k]
+        if code is None:
+            left, right, competitors, skip = self.operands(ar1, ar2, side, policy)
+            code = _decide(left, right, ar2, competitors, skip)
+            # equal codes are stored as one tuple
+            code = codes[k] = side.arrow_codes[self, policy][1].setdefault(code, code)
+        return code
+
+    def verdict(self, ar1, ar2, ctx, policy) -> ProportionVerdict:
+        """The verdict of ar1 <sign> ar2 on ``ctx``, its comparisons rebuilt from the code."""
+        policy = self.policy or policy
+        left, right, competitors, skip = self.operands(ar1, ar2, ctx, policy)
+        return ProportionVerdict.of_maximality(
+            left, right, ar2, competitors, self.label, ctx.relations.__getitem__,
+            ctx, policy, skip, self.code(ar1, ar2, ctx, policy),
+        )
+
+    def decider(self, ctx, policy) -> Callable[..., bool]:
+        """``holds(side, q)``, for ``side`` either ``ctx`` or ``ctx.swapped()``:
+        whether a:b <sign> c:d holds there, read from the memo without
+        building a verdict.  The four codes are those of ``of_conjuncts``.
+        """
+        policy = self.policy or policy
+        code, mirror = self.code, ctx.swapped()
+
+        def orientation(side, other):
+            ia, ib = side.alg_a.index, side.alg_b.index
+            here, there = self.table(side, policy), self.table(other, policy)
+            return here, there, other, ia, ib, len(ia), len(ib)
+
+        forward, backward = orientation(ctx, mirror), orientation(mirror, ctx)
+
+        def holds(side, q) -> bool:
+            here, there, other, ia, ib, na, nb = forward if side is ctx else backward
+            a, b, c, d = q
+            i, j, k, m = ia[a], ia[b], ib[c], ib[d]
+            # The arrow-pair numbers of a->b, c->d and b->a, d->c on this side,
+            # and of c->d, a->b and d->c, b->a on the other.
+            found = here[((i * na + j) * nb + k) * nb + m] or code((a, b), (c, d), side, policy)
+            if found[0] not in HOLDING:
+                return False
+            found = here[((j * na + i) * nb + m) * nb + k] or code((b, a), (d, c), side, policy)
+            if found[0] not in HOLDING:
+                return False
+            found = there[((k * nb + m) * na + i) * na + j] or code((c, d), (a, b), other, policy)
+            if found[0] not in HOLDING:
+                return False
+            found = there[((m * nb + k) * na + j) * na + i] or code((d, c), (b, a), other, policy)
+            return found[0] in HOLDING
+
+        return holds

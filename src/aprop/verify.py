@@ -26,10 +26,10 @@ from .algebras import (
     parse_spec_file,
 )
 from .clone import Bounds, PairContext, build_pair_context
-from .proportion_rw import proportion_rw, solve_rw
-from .proportion_sim import arrow_lesssim, proportion_sim, solve_sim
+from .proportion_rw import RW, proportion_rw, solve_rw
+from .proportion_sim import SIM, arrow_lesssim, proportion_sim, solve_sim
 from .terms import Language
-from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
+from .verdicts import ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
     "Framework",
@@ -56,11 +56,17 @@ Quadruple = tuple[Element, Element, Element, Element]
 
 
 class Framework(NamedTuple):
-    """How one relation decides a quadruple, solves for d and indexes its arrows."""
+    """How one relation decides a quadruple, solves for d and indexes its arrows.
+
+    ``arrows`` is its directed arrow relation: the sign, the competitor label
+    and the kernel's operands.  It keys the relation's memo of arrow codes on
+    every context, so ``decide`` and ``check_axiom`` read one memo.
+    """
 
     decide: Callable[[Quadruple, PairContext, CompetitorPolicy], ProportionVerdict]
     solve: Callable[..., list[Element]]
     index: Callable[[PairContext], tuple[dict, dict]]
+    arrows: ArrowRelation
 
 
 # The lambdas look each function up when called, so a module attribute replaced
@@ -70,11 +76,13 @@ FRAMEWORKS: dict[str, Framework] = {
         lambda q, ctx, policy: proportion_sim(*q, ctx, policy),
         lambda a, b, c, ctx, policy: solve_sim(a, b, c, ctx, policy),
         lambda ctx: (ctx.cont_a, ctx.cont_b),
+        SIM,
     ),
     "rw": Framework(
         lambda q, ctx, policy: proportion_rw(*q, ctx),
         lambda a, b, c, ctx, policy: solve_rw(a, b, c, ctx),
         lambda ctx: (ctx.jus_a, ctx.jus_b),
+        RW,
     ),
 }
 
@@ -175,24 +183,13 @@ class CheckReport:
         return self.holds
 
 
-class _Prop:
-    """Cached proportion decisions of one framework over fixed contexts."""
-
-    def __init__(self, framework: str, policy: CompetitorPolicy):
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}")
-        check_policy(policy)
-        self.decide = FRAMEWORKS[framework].decide
-        self.policy = policy
-        self.cache: dict[tuple[int, Quadruple], bool] = {}
-        self.instances = 0
-
-    def __call__(self, ctx: PairContext, q: Quadruple) -> bool:
-        key = (id(ctx), q)
-        if key not in self.cache:
-            self.cache[key] = bool(self.decide(q, ctx, self.policy))
-        self.instances += 1
-        return self.cache[key]
+def _proportion(framework: str, ctx: PairContext, policy: CompetitorPolicy) -> Callable[..., bool]:
+    """``p(side, q)`` for ``side`` either ``ctx`` or its mirror: whether ``q``
+    holds there in ``framework``, read from the memo without building a verdict."""
+    if framework not in FRAMEWORKS:
+        raise ValueError(f"unknown framework {framework!r}")
+    check_policy(policy)
+    return FRAMEWORKS[framework].arrows.decider(ctx, policy)
 
 
 def check_axiom(
@@ -215,7 +212,13 @@ def check_axiom(
             f"{name} is checked with A = B, but {ctx.alg_a.name} and"
             f" {ctx.alg_b.name} differ in their universes or tables"
         )
-    p = _Prop(framework, policy)
+    proportion, instances = _proportion(framework, ctx, policy), 0
+
+    def p(side: PairContext, q: Quadruple) -> bool:
+        nonlocal instances
+        instances += 1
+        return proportion(side, q)
+
     ba, violated = ctx.swapped(), schema.violated
     shared = tuple(e for e in A if e in ctx.alg_b.index)
     ce = next((xs for xs in schema.instances(A, B, shared) if violated(p, ctx, ba, *xs)), None)
@@ -226,7 +229,7 @@ def check_axiom(
         algebras=tuple(sorted({ctx.alg_a.name, ctx.alg_b.name})),
         holds=ce is None,
         counterexample=ce,
-        instances=p.instances,
+        instances=instances,
         max_vars=ctx.bounds.max_vars,
         exact=ctx.saturated,
     )
@@ -296,7 +299,8 @@ def run_paper_vectors(
         fields = ["literal" if f == "-" else f for f in fields]
         if kind == "quad":
             name, framework, policy, a, b, c, d, expected = fields[1:]
-            got = _Prop(framework, policy)(ctx_for(name), (a, b, c, d))
+            ctx = ctx_for(name)
+            got = _proportion(framework, ctx, policy)(ctx, (a, b, c, d))
             actual = "holds" if got else "fails"
             description = f"{name} {framework} {a}:{b} to {c}:{d}"
         elif kind == "axiom":

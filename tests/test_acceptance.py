@@ -173,10 +173,11 @@ def naive_verdict(arrows, cont, alg, a, b, c, d, framework, policy="literal"):
             and arrow_ok((c, d), (a, b)) and arrow_ok((d, c), (b, a)))
 
 
-def oracle_mismatches(alg, ctx, policies):
-    """Quadruples where the engine and the naive oracle disagree."""
+def oracle_mismatches(alg, ctx, policies, max_vars=2):
+    """Quadruples where the engine and the naive oracle disagree; ``ctx`` is
+    built at ``max_vars`` variables."""
     mismatches = []
-    conts = {fw: naive_cont(alg, fw) for fw in ("sim", "rw")}
+    conts = {fw: naive_cont(alg, fw, max_vars) for fw in ("sim", "rw")}
     for q in itertools.product(alg.universe, repeat=4):
         arrows, cont = conts["sim"]
         for policy in policies:
@@ -211,6 +212,12 @@ class TestOracleEquivalence:
         alg = bundled_algebra(name)
         ctx = build_pair_context(alg, bounds=BOUNDS)
         assert oracle_mismatches(alg, ctx, ("literal", "all")) == []
+
+    @pytest.mark.parametrize("name", bundled_algebra_names())
+    def test_bundled_algebras_three_variables(self, name):
+        alg = bundled_algebra(name)
+        ctx = build_pair_context(alg, bounds=Bounds(max_vars=3))
+        assert oracle_mismatches(alg, ctx, ("literal", "all"), max_vars=3) == []
 
     @pytest.mark.parametrize("n, op", [(2, "add"), (3, "add"), (3, "join")])
     def test_binary_operations(self, n, op):

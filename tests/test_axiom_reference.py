@@ -3,7 +3,10 @@
 ``ref_check_axiom`` and its helper ``_shared`` below are copies of
 ``check_axiom`` as it was before the schemata carried their own statements:
 one hand-written loop per schema, with optional (B, C) and (A, C) contexts.
-The only edit is the name of ``check_axiom``.  Every
+The only edit is the name of ``check_axiom``.  ``_Prop`` is a copy of the
+cache it decided through, which built a verdict per quadruple through
+``FRAMEWORKS``; ``check_axiom`` now reads the contexts' memo of arrow codes
+and builds none.  Every
 ``CheckReport`` field must agree, for every schema, framework and competitor
 policy, on the bundled algebras and on (algebra, quotient) pairs.
 """
@@ -14,16 +17,39 @@ import pytest
 
 from aprop.algebras import AlgebraSpecError, Element, FiniteAlgebra
 from aprop.clone import Bounds, PairContext, build_pair_context
-from aprop.verdicts import CompetitorPolicy
+from aprop.verdicts import CompetitorPolicy, check_policy
 from aprop.verify import (
     AXIOM_SCHEMATA,
+    FRAMEWORKS,
     CheckReport,
-    _Prop,
     bundled_algebra,
     bundled_algebra_names,
     check_axiom,
     quotient_homomorphisms,
 )
+
+
+Quadruple = tuple[Element, Element, Element, Element]
+
+
+class _Prop:
+    """Cached proportion decisions of one framework over fixed contexts."""
+
+    def __init__(self, framework: str, policy: CompetitorPolicy):
+        if framework not in FRAMEWORKS:
+            raise ValueError(f"unknown framework {framework!r}")
+        check_policy(policy)
+        self.decide = FRAMEWORKS[framework].decide
+        self.policy = policy
+        self.cache: dict[tuple[int, Quadruple], bool] = {}
+        self.instances = 0
+
+    def __call__(self, ctx: PairContext, q: Quadruple) -> bool:
+        key = (id(ctx), q)
+        if key not in self.cache:
+            self.cache[key] = bool(self.decide(q, ctx, self.policy))
+        self.instances += 1
+        return self.cache[key]
 
 
 def _shared(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> tuple[Element, ...]:
