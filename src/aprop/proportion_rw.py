@@ -177,4 +177,5 @@ def uniqueness_lemma_check(
 
 def solve_rw(a: Element, b: Element, c: Element, ctx: PairContext) -> list[Element]:
     """All d in B with a:b :: c:d, in universe order."""
-    return [d for d in ctx.alg_b.universe if proportion_rw(a, b, c, d, ctx)]
+    holds = RW.decider(ctx, "d-only")
+    return [d for d in ctx.alg_b.universe if holds(ctx, (a, b, c, d))]

@@ -106,6 +106,5 @@ def solve_sim(
     policy: CompetitorPolicy = "literal",
 ) -> list[Element]:
     """All d in B with a:b ~ c:d, in universe order."""
-    return [
-        d for d in ctx.alg_b.universe if proportion_sim(a, b, c, d, ctx, policy)
-    ]
+    holds = SIM.decider(ctx, policy)
+    return [d for d in ctx.alg_b.universe if holds(ctx, (a, b, c, d))]

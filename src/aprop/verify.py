@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
-from itertools import product
+from itertools import compress, product, starmap, tee
 from typing import NamedTuple
 
 from .algebras import (
@@ -60,7 +61,8 @@ class Framework(NamedTuple):
 
     ``arrows`` is its directed arrow relation: the sign, the competitor label
     and the kernel's operands.  It keys the relation's memo of arrow codes on
-    every context, so ``decide`` and ``check_axiom`` read one memo.
+    every context, so ``decide``, ``solve``, ``check_axiom`` and
+    ``compare_frameworks`` read one memo; all but ``decide`` read booleans.
     """
 
     decide: Callable[[Quadruple, PairContext, CompetitorPolicy], ProportionVerdict]
@@ -202,6 +204,10 @@ def check_axiom(
     returning the first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
+    Each quadruple is decided once per call, per side, and read from the memo
+    of arrow codes as a boolean; no verdict is built.  ``instances`` counts the
+    proportion evaluations the short-circuit enumeration makes, repeats
+    included, so the memo leaves it unchanged.
     """
     if name not in AXIOM_SCHEMATA:
         raise ValueError(f"unknown axiom {name!r}")
@@ -213,15 +219,23 @@ def check_axiom(
             f" {ctx.alg_b.name} differ in their universes or tables"
         )
     proportion, instances = _proportion(framework, ctx, policy), 0
+    ba, violated = ctx.swapped(), schema.violated
+    here: dict[Quadruple, bool] = {}
+    there: dict[Quadruple, bool] = {}
 
     def p(side: PairContext, q: Quadruple) -> bool:
         nonlocal instances
         instances += 1
-        return proportion(side, q)
+        seen = here if side is ctx else there
+        found = seen.get(q)
+        if found is None:
+            found = seen[q] = proportion(side, q)
+        return found
 
-    ba, violated = ctx.swapped(), schema.violated
     shared = tuple(e for e in A if e in ctx.alg_b.index)
-    ce = next((xs for xs in schema.instances(A, B, shared) if violated(p, ctx, ba, *xs)), None)
+    # The first counterexample, found in C without a generator frame per instance.
+    xs, again = tee(schema.instances(A, B, shared))
+    ce = next(compress(xs, starmap(partial(violated, p, ctx, ba), again)), None)
     return CheckReport(
         schema=name,
         framework=framework,
@@ -327,10 +341,11 @@ def compare_frameworks(
     ctx: PairContext, policy: CompetitorPolicy = "literal"
 ) -> list[tuple[Quadruple, bool, bool]]:
     """All quadruples where the two frameworks disagree, in universe order."""
+    deciders = [_proportion(name, ctx, policy) for name in FRAMEWORKS]
     out = []
     for q in product(ctx.alg_a.universe, ctx.alg_a.universe,
                      ctx.alg_b.universe, ctx.alg_b.universe):
-        s, r = (bool(fw.decide(q, ctx, policy)) for fw in FRAMEWORKS.values())
+        s, r = (holds(ctx, q) for holds in deciders)
         if s != r:
             out.append((q, s, r))
     return out

@@ -1,6 +1,8 @@
 """The memo of arrow codes: each arrow verdict is decided once per context
 side, framework and policy, and what the memo holds does not depend on the
-order in which verdicts were asked for."""
+order in which verdicts were asked for.  The sweeps read booleans from it:
+they build no verdict, and ``check_axiom`` decides each quadruple once per
+call and side."""
 
 import itertools
 import random
@@ -9,14 +11,17 @@ import pytest
 from test_clone import generated_algebra
 
 import aprop.verdicts
+from aprop.algebras import parse_spec_file
 from aprop.clone import Bounds, build_pair_context
-from aprop.proportion_rw import arrow_proportion_rw, proportion_rw
-from aprop.proportion_sim import arrow_lesssim, proportion_sim
-from aprop.verdicts import ArrowRelation
+from aprop.proportion_rw import arrow_proportion_rw, proportion_rw, solve_rw
+from aprop.proportion_sim import arrow_lesssim, proportion_sim, solve_sim
+from aprop.verdicts import ArrowRelation, ProportionVerdict
 from aprop.verify import (
     AXIOM_SCHEMATA,
     FRAMEWORKS,
+    AxiomSchema,
     bundled_algebra,
+    bundled_algebra_names,
     check_axiom,
     compare_frameworks,
 )
@@ -105,3 +110,106 @@ def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
                 proportion_sim, *q, fresh, policy
             )
         assert proportion_rw(*q, warm) == from_fresh(proportion_rw, *q, fresh)
+
+
+@pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
+def test_sweeps_build_no_verdict(name, monkeypatch):
+    built = []
+    init = ProportionVerdict.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProportionVerdict, "__init__", counted_init)
+    ctx = context(name)
+    sweep(ctx)
+    u = ctx.alg_a.universe
+    for a, b, c in itertools.product(u, repeat=3):
+        for policy in POLICIES:
+            solve_sim(a, b, c, ctx, policy)
+        solve_rw(a, b, c, ctx)
+    assert built == []
+    proportion_sim(*u[:2], *u[:2], ctx)
+    assert len(built) == 1  # the counter sees the verdict path
+
+
+@pytest.fixture
+def decider_calls(monkeypatch):
+    """The (side, quadruple) of every call of a decider's ``holds``."""
+    calls = []
+    decider = ArrowRelation.decider
+
+    def traced_decider(self, ctx, policy):
+        holds = decider(self, ctx, policy)
+
+        def traced(side, q):
+            calls.append((id(side), q))
+            return holds(side, q)
+
+        return traced
+
+    monkeypatch.setattr(ArrowRelation, "decider", traced_decider)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
+def test_check_axiom_decides_each_quadruple_once(name, decider_calls):
+    ctx = context(name)
+    sides = {id(ctx), id(ctx.swapped())}
+    for policy in POLICIES:
+        for framework in FRAMEWORKS:
+            for schema in AXIOM_SCHEMATA:
+                decider_calls.clear()
+                report = check_axiom(schema, ctx, framework=framework, policy=policy)
+                assert decider_calls
+                assert len(decider_calls) == len(set(decider_calls)) <= report.instances
+                assert {side for side, _ in decider_calls} <= sides
+
+
+def test_check_axiom_keeps_the_two_sides_apart(monkeypatch):
+    """On (P, Q) and its mirror (Q, P) one quadruple has two verdicts; a
+    probe schema asks for both, twice, and gets those of the verdict path."""
+    spec = parse_spec_file(
+        "algebra P { universe: a, b; op f/1: a -> b, b -> a; }"
+        "algebra Q { universe: a, b; op f/1: a -> a, b -> b; }"
+    )
+    ctx = build_pair_context(spec.algebras["P"], spec.algebras["Q"])
+    answers = []
+
+    def probe(p, ab, ba, *q):
+        answers.extend((side, q, p(side, q)) for side in (ab, ba))
+        return False
+
+    def instances(A, B, S):
+        return [*itertools.product(A, A, B, B)] * 2
+
+    monkeypatch.setitem(AXIOM_SCHEMATA, "probe", AxiomSchema("probe", 2, instances, probe))
+    for framework, fw in FRAMEWORKS.items():
+        for policy in POLICIES:
+            answers.clear()
+            assert check_axiom("probe", ctx, framework, policy).instances == 64
+            assert len(answers) == 64
+            for side, q, got in answers:
+                assert got == bool(fw.decide(q, side, policy))
+            sides = {q: got for side, q, got in answers if side is ctx}
+            assert any(sides[q] != got for side, q, got in answers if side is not ctx)
+
+
+@pytest.mark.parametrize("name", [*bundled_algebra_names(), "CS3@1"])
+def test_solve_reads_the_verdicts(name):
+    """solve_sim and solve_rw list the d whose quadruple verdict holds; the
+    two paths read two contexts, so neither sees the other's memo."""
+    fast, slow = context(name), context(name)
+    u = fast.alg_a.universe
+    for a, b, c in itertools.product(u, repeat=3):
+        for policy in POLICIES:
+            assert solve_sim(a, b, c, fast, policy) == [
+                d for d in u if proportion_sim(a, b, c, d, slow, policy)
+            ]
+        assert solve_rw(a, b, c, fast) == [d for d in u if proportion_rw(a, b, c, d, slow)]
+
+
+def test_solve_rejects_an_unknown_policy():
+    with pytest.raises(ValueError):
+        solve_sim("a", "a", "a", context("EAABB"), policy="bogus")
