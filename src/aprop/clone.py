@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from operator import add, attrgetter
 
 from .algebras import AlgebraSpecError, Element, FiniteAlgebra
 from .terms import App, Term, Var
@@ -268,21 +268,25 @@ class PairContext:
 
     The indexes map an element or arrow of one side to ids: positions in
     ``clone.classes`` (``elem_up_*``) or ``relations`` (``cont_*``, ``jus_*``).
-    ``swapped()`` is the mirror on (B, A), built once and linked both ways;
-    it shares ``clone`` and ``relations``, and each of its indexes is this
-    context's opposite-side one.  ``bitmasks`` gives an index with its id sets
-    as ints, for the verdict kernel.
+    ``swapped()`` is the context on (B, A).  On one algebra (``alg_b is
+    alg_a``) it is the context itself, with one memo; on two it is a mirror
+    built once and linked both ways, sharing ``clone`` and ``relations``.
+    Only the A-side indexes are computed: each B-side index is the A-side one
+    of ``swapped()``.  ``bitmasks`` gives an index with its id sets as ints,
+    for the verdict kernel.
     """
 
     alg_a: FiniteAlgebra
     alg_b: FiniteAlgebra
     clone: CloneResult
     relations: list[RelationClass]
-    # Set on the mirror made by swapped(): the context it mirrors.
+    # Set on the mirror made by swapped(): the context it mirrors.  The
+    # mirror's first algebra is that context's second, so its A-side indexes
+    # read ``rel_b`` and ``image_b``.
     mirror_of: PairContext | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # The verdict layer's memo of this side, not shared with the mirror:
+    # The verdict layer's memo of this side, not shared with a mirror:
     # (arrow relation, policy) -> (codes by arrow-pair number, interned codes).
     arrow_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -297,57 +301,38 @@ class PairContext:
     @cached_property
     def cont_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
         """Arrow -> ids of non-trivial relation classes containing it in A."""
-        if self.mirror_of is not None:
-            return self.mirror_of.cont_b
+        rel = attrgetter("rel_a" if self.mirror_of is None else "rel_b")
         return _ids_containing(
             itertools.product(self.alg_a.universe, repeat=2),
-            (() if rc.trivial else rc.rel_a for rc in self.relations),
+            (() if rc.trivial else rel(rc) for rc in self.relations),
         )
 
     @cached_property
     def cont_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        if self.mirror_of is not None:
-            return self.mirror_of.cont_a
-        return _ids_containing(
-            itertools.product(self.alg_b.universe, repeat=2),
-            (() if rc.trivial else rc.rel_b for rc in self.relations),
-        )
+        return self.swapped().cont_a
 
     @cached_property
     def jus_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
         """Arrow -> ids of non-trivial rewrite-witnessed classes containing it."""
-        if self.mirror_of is not None:
-            return self.mirror_of.jus_b
-        return self._rewritten(self.cont_a)
+        rewritten = [rc.has_rewrite_witness for rc in self.relations].__getitem__
+        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_a.items()}
 
     @cached_property
     def jus_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        if self.mirror_of is not None:
-            return self.mirror_of.jus_a
-        return self._rewritten(self.cont_b)
-
-    def _rewritten(self, cont) -> dict[tuple[Element, Element], frozenset[int]]:
-        rewritten = [rc.has_rewrite_witness for rc in self.relations].__getitem__
-        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in cont.items()}
+        return self.swapped().jus_a
 
     @cached_property
     def elem_up_a(self) -> dict[Element, frozenset[int]]:
         """Element -> ids of non-trivial denotation classes whose A-image contains it."""
-        if self.mirror_of is not None:
-            return self.mirror_of.elem_up_b
+        image = attrgetter("image_a" if self.mirror_of is None else "image_b")
         return _ids_containing(
             self.alg_a.universe,
-            (() if self.class_trivial(c) else c.image_a for c in self.clone.classes),
+            (() if self.class_trivial(c) else image(c) for c in self.clone.classes),
         )
 
     @cached_property
     def elem_up_b(self) -> dict[Element, frozenset[int]]:
-        if self.mirror_of is not None:
-            return self.mirror_of.elem_up_a
-        return _ids_containing(
-            self.alg_b.universe,
-            (() if self.class_trivial(c) else c.image_b for c in self.clone.classes),
-        )
+        return self.swapped().elem_up_a
 
     def class_trivial(self, cls: DenotationClass) -> bool:
         """Whether the class generalizes every element of both algebras."""
@@ -361,11 +346,11 @@ class PairContext:
         """The index named ``index`` (``"cont_a"``, ``"jus_b"``, ``"elem_up_a"``, ...)
         with every id set as an int whose bit i is set for id i.
 
-        Derived on first use, not by the build; the mirror reads this
-        context's opposite-side view.
+        Derived on first use, not by the build; a B-side view is the A-side
+        view of ``swapped()``.
         """
-        if self.mirror_of is not None:
-            return self.mirror_of.bitmasks(index[:-1] + ("b" if index[-1] == "a" else "a"))
+        if index.endswith("_b"):
+            return self.swapped().bitmasks(index[:-1] + "a")
         views = self._bitmask_views
         if index not in views:
             views[index] = {key: _bitmask(ids) for key, ids in getattr(self, index).items()}
@@ -376,9 +361,12 @@ class PairContext:
         return {}
 
     def swapped(self) -> PairContext:
-        """The same context with the roles of the two algebras exchanged."""
+        """The same context with the roles of the two algebras exchanged:
+        the context itself when both are one algebra."""
         if self.mirror_of is not None:
             return self.mirror_of
+        if self.alg_b is self.alg_a:
+            return self
         return self._mirror
 
     @cached_property

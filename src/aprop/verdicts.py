@@ -3,8 +3,8 @@
 Every directed comparison goes through one maximality kernel over int
 bitmask id sets, which returns a small code: (reason, lowest shared id or
 -1, position of the dominating competitor or -1).  Arrow codes are memoized
-per context side; a ``ProportionVerdict`` is built from codes only when one
-is asked for.
+per context (a one-algebra context is its own mirror); a ``ProportionVerdict``
+is built from codes only when one is asked for.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class ProportionVerdict:
     def of_conjuncts(cls, relation: ArrowRelation, q, ctx, policy) -> ProportionVerdict:
         """a:b <sign> c:d from the four memoized codes of ``relation``.
 
-        The last two run on ``ctx.swapped()``.  The first failing conjunct,
+        The last two run on ``ctx.swapped()``, which is ``ctx`` itself on one
+        algebra, so all four read one memo there.  The first failing conjunct,
         named ``ar1 <sign> ar2``, decides; else the first witness is kept.
         Only the deciding conjunct's witness and competitor are formatted.
         """
@@ -187,7 +188,7 @@ class ArrowRelation(NamedTuple):
         return memo[0]
 
     def code(self, ar1, ar2, side, policy) -> tuple[str, int, int]:
-        """The code of ar1 <sign> ar2 on ``side``, decided once per side and policy."""
+        """The code of ar1 <sign> ar2 on ``side``, decided once per context and policy."""
         codes = self.table(side, policy)
         ia, ib = side.alg_a.index, side.alg_b.index
         k = ((ia[ar1[0]] * len(ia) + ia[ar1[1]]) * len(ib) + ib[ar2[0]]) * len(ib) + ib[ar2[1]]
@@ -209,9 +210,10 @@ class ArrowRelation(NamedTuple):
         )
 
     def decider(self, ctx, policy) -> Callable[..., bool]:
-        """``holds(side, q)``, for ``side`` either ``ctx`` or ``ctx.swapped()``:
-        whether a:b <sign> c:d holds there, read from the memo without
-        building a verdict.  The four codes are those of ``of_conjuncts``.
+        """``holds(side, q)``, for ``side`` either ``ctx`` or ``ctx.swapped()``
+        (``ctx`` itself on one algebra): whether a:b <sign> c:d holds there,
+        read from the memo without building a verdict.  The four codes are
+        those of ``of_conjuncts``.
         """
         policy = self.policy or policy
         code, mirror = self.code, ctx.swapped()

@@ -97,8 +97,9 @@ class AxiomSchema:
     from the universes of A and B and their shared elements S.
     ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
     counterexample, where ``p`` decides proportions in the (A, B) context
-    ``ab`` and in its mirror ``ba`` on (B, A).  Schemata over one or three
-    algebras are read with A = B (and C = B).
+    ``ab`` and in ``ba = ab.swapped()`` on (B, A), which is ``ab`` itself on
+    one algebra.  Schemata over one or three algebras are read with A = B
+    (and C = B).
     """
 
     name: str
@@ -186,7 +187,7 @@ class CheckReport:
 
 
 def _proportion(framework: str, ctx: PairContext, policy: CompetitorPolicy) -> Callable[..., bool]:
-    """``p(side, q)`` for ``side`` either ``ctx`` or its mirror: whether ``q``
+    """``p(side, q)`` for ``side`` either ``ctx`` or ``ctx.swapped()``: whether ``q``
     holds there in ``framework``, read from the memo without building a verdict."""
     if framework not in FRAMEWORKS:
         raise ValueError(f"unknown framework {framework!r}")
@@ -204,8 +205,9 @@ def check_axiom(
     returning the first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
-    Each quadruple is decided once per call, per side, and read from the memo
-    of arrow codes as a boolean; no verdict is built.  ``instances`` counts the
+    Each quadruple is decided once per call and context (``ctx`` and
+    ``ctx.swapped()``, one context on one algebra) and read from the memo of
+    arrow codes as a boolean; no verdict is built.  ``instances`` counts the
     proportion evaluations the short-circuit enumeration makes, repeats
     included, so the memo leaves it unchanged.
     """

@@ -4,8 +4,10 @@ order in which verdicts were asked for.  The sweeps read booleans from it:
 they build no verdict, and ``check_axiom`` decides each quadruple once per
 call and side."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from test_clone import generated_algebra
@@ -15,6 +17,7 @@ from aprop.algebras import parse_spec_file
 from aprop.clone import Bounds, build_pair_context
 from aprop.proportion_rw import arrow_proportion_rw, proportion_rw, solve_rw
 from aprop.proportion_sim import arrow_lesssim, proportion_sim, solve_sim
+from aprop.similarity import similar
 from aprop.verdicts import ArrowRelation, ProportionVerdict
 from aprop.verify import (
     AXIOM_SCHEMATA,
@@ -213,3 +216,34 @@ def test_solve_reads_the_verdicts(name):
 def test_solve_rejects_an_unknown_policy():
     with pytest.raises(ValueError):
         solve_sim("a", "a", "a", context("EAABB"), policy="bogus")
+
+
+@pytest.mark.parametrize("name", ["A2", "PTRANS"])
+def test_one_algebra_context_is_its_own_mirror(name, kernel_runs):
+    """On one algebra the swapped pair is the same pair: the context is its
+    own mirror, and each arrow code is decided once, whichever side asks."""
+    ctx = context(name)
+    assert ctx.swapped() is ctx
+    sweep(ctx)
+    codes = [run[1:] for run in kernel_runs]
+    assert codes
+    assert len(codes) == len(set(codes))
+
+
+def test_a_dropped_one_algebra_context_is_freed_without_the_collector():
+    """No reference cycle keeps a one-algebra context alive once its sweeps
+    and verdicts are done."""
+    gc.disable()
+    try:
+        ctx = context("A2")
+        u = ctx.alg_a.universe
+        proportion_sim(*u[:2], *u[:2], ctx)
+        similar(u[0], u[1], ctx)
+        solve_sim(*u[:3], ctx)
+        check_axiom("p-symmetry", ctx)
+        compare_frameworks(ctx, "literal")
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -232,6 +232,45 @@ class TestRelationClasses:
             assert list(mirror.elem_up_a) == list(h.target.universe)
             assert list(mirror.cont_b) == list(itertools.product(h.source.universe, repeat=2))
 
+    def test_one_algebra_shares_each_index_between_sides(self, contexts):
+        ctx = contexts("A2")
+        assert ctx.swapped() is ctx
+        for name in ("cont", "jus", "elem_up"):
+            assert getattr(ctx, f"{name}_b") is getattr(ctx, f"{name}_a")
+            assert ctx.bitmasks(f"{name}_b") is ctx.bitmasks(f"{name}_a")
+
+    def test_b_side_indexes_read_the_second_algebra(self):
+        """The B-side indexes of a two-algebra context, recomputed from
+        ``rel_b`` and ``image_b`` without going through ``swapped()``."""
+        h = quotient_homomorphisms(bundled_algebra("A3"))[0]
+        ctx = build_pair_context(h.source, h.target, Bounds(max_vars=2))
+        u = h.target.universe
+        cont = {
+            ar: frozenset(
+                i for i, rc in enumerate(ctx.relations) if not rc.trivial and ar in rc.rel_b
+            )
+            for ar in itertools.product(u, repeat=2)
+        }
+        jus = {
+            ar: frozenset(i for i in ids if ctx.relations[i].has_rewrite_witness)
+            for ar, ids in cont.items()
+        }
+        elem_up = {
+            e: frozenset(
+                i for i, c in enumerate(ctx.clone.classes)
+                if not ctx.class_trivial(c) and e in c.image_b
+            )
+            for e in u
+        }
+        assert any(cont.values()) and any(jus.values()) and any(elem_up.values())
+        assert ctx.cont_b == cont
+        assert ctx.jus_b == jus
+        assert ctx.elem_up_b == elem_up
+        for name, index in (("cont", cont), ("jus", jus), ("elem_up", elem_up)):
+            assert ctx.bitmasks(f"{name}_b") == {
+                key: sum(1 << i for i in ids) for key, ids in index.items()
+            }
+
     def test_verdict_stable_once_saturated(self):
         from aprop.proportion_sim import proportion_sim
 
