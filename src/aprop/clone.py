@@ -287,7 +287,7 @@ class PairContext:
         default=None, init=False, repr=False, compare=False
     )
     # The verdict layer's memo of this side, not shared with a mirror:
-    # (arrow relation, policy) -> (codes by arrow-pair number, interned codes).
+    # (arrow relation, policy) -> {(x, y, z, w): code of x->y against z->w}.
     arrow_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

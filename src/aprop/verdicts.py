@@ -3,8 +3,9 @@
 Every directed comparison goes through one maximality kernel over int
 bitmask id sets, which returns a small code: (reason, lowest shared id or
 -1, position of the dominating competitor or -1).  Arrow codes are memoized
-per context (a one-algebra context is its own mirror); a ``ProportionVerdict``
-is built from codes only when one is asked for.
+per context (a one-algebra context is its own mirror), in one dict per arrow
+relation and policy keyed by the four elements of the compared arrows; a
+``ProportionVerdict`` is built from codes only when one is asked for.
 """
 
 from __future__ import annotations
@@ -172,32 +173,25 @@ class ArrowRelation(NamedTuple):
     operands: Callable[..., tuple]
     policy: CompetitorPolicy | None = None
 
-    def table(self, side, policy) -> list:
-        """The memo of ``side``: one flat list of codes per (relation, policy).
-
-        A code sits at the arrow-pair number ((i(x)|A| + i(y))|B| + i(z))|B| + i(w)
-        of ar1 = (x, y), ar2 = (z, w); None marks a pair not decided yet.
+    def memo(self, side, policy) -> dict:
+        """The memo of ``side``: one dict of codes per (relation, policy), keyed
+        by the four elements ``ar1 + ar2`` = (x, y, z, w) of the compared arrows.
         ``policy`` is the relation's own when it has one.
         """
         memo = side.arrow_codes.get((self, policy))
         if memo is None:
             if self.policy is None:
                 check_policy(policy)
-            size = len(side.alg_a.universe) * len(side.alg_b.universe)
-            memo = side.arrow_codes[self, policy] = ([None] * size * size, {})
-        return memo[0]
+            memo = side.arrow_codes[self, policy] = {}
+        return memo
 
     def code(self, ar1, ar2, side, policy) -> tuple[str, int, int]:
         """The code of ar1 <sign> ar2 on ``side``, decided once per context and policy."""
-        codes = self.table(side, policy)
-        ia, ib = side.alg_a.index, side.alg_b.index
-        k = ((ia[ar1[0]] * len(ia) + ia[ar1[1]]) * len(ib) + ib[ar2[0]]) * len(ib) + ib[ar2[1]]
-        code = codes[k]
+        codes, key = self.memo(side, policy), ar1 + ar2
+        code = codes.get(key)
         if code is None:
             left, right, competitors, skip = self.operands(ar1, ar2, side, policy)
-            code = _decide(left, right, ar2, competitors, skip)
-            # equal codes are stored as one tuple
-            code = codes[k] = side.arrow_codes[self, policy][1].setdefault(code, code)
+            code = codes[key] = _decide(left, right, ar2, competitors, skip)
         return code
 
     def verdict(self, ar1, ar2, ctx, policy) -> ProportionVerdict:
@@ -217,30 +211,22 @@ class ArrowRelation(NamedTuple):
         """
         policy = self.policy or policy
         code, mirror = self.code, ctx.swapped()
-
-        def orientation(side, other):
-            ia, ib = side.alg_a.index, side.alg_b.index
-            here, there = self.table(side, policy), self.table(other, policy)
-            return here, there, other, ia, ib, len(ia), len(ib)
-
-        forward, backward = orientation(ctx, mirror), orientation(mirror, ctx)
+        forward = self.memo(ctx, policy), mirror, self.memo(mirror, policy)
+        backward = forward[2], ctx, forward[0]
 
         def holds(side, q) -> bool:
-            here, there, other, ia, ib, na, nb = forward if side is ctx else backward
+            here, other, there = forward if side is ctx else backward
             a, b, c, d = q
-            i, j, k, m = ia[a], ia[b], ib[c], ib[d]
-            # The arrow-pair numbers of a->b, c->d and b->a, d->c on this side,
-            # and of c->d, a->b and d->c, b->a on the other.
-            found = here[((i * na + j) * nb + k) * nb + m] or code((a, b), (c, d), side, policy)
+            found = here.get((a, b, c, d)) or code((a, b), (c, d), side, policy)
             if found[0] not in HOLDING:
                 return False
-            found = here[((j * na + i) * nb + m) * nb + k] or code((b, a), (d, c), side, policy)
+            found = here.get((b, a, d, c)) or code((b, a), (d, c), side, policy)
             if found[0] not in HOLDING:
                 return False
-            found = there[((k * nb + m) * na + i) * na + j] or code((c, d), (a, b), other, policy)
+            found = there.get((c, d, a, b)) or code((c, d), (a, b), other, policy)
             if found[0] not in HOLDING:
                 return False
-            found = there[((m * nb + k) * na + j) * na + i] or code((d, c), (b, a), other, policy)
+            found = there.get((d, c, b, a)) or code((d, c), (b, a), other, policy)
             return found[0] in HOLDING
 
         return holds

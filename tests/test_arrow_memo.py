@@ -27,6 +27,7 @@ from aprop.verify import (
     bundled_algebra_names,
     check_axiom,
     compare_frameworks,
+    quotient_homomorphisms,
 )
 
 POLICIES = ("literal", "all")
@@ -199,18 +200,35 @@ def test_check_axiom_keeps_the_two_sides_apart(monkeypatch):
             assert any(sides[q] != got for side, q, got in answers if side is not ctx)
 
 
-@pytest.mark.parametrize("name", [*bundled_algebra_names(), "CS3@1"])
+def quotient_pairs() -> dict:
+    """The (algebra, quotient) pairs of A2, A3 and EAABB, in both orders."""
+    pairs = {}
+    for name in ("A2", "A3", "EAABB"):
+        for h in quotient_homomorphisms(bundled_algebra(name)):
+            pairs[f"{name}:{h.name}"] = (h.source, h.target)
+            pairs[f"{h.name}:{name}"] = (h.target, h.source)
+    return pairs
+
+
+QUOTIENT_PAIRS = quotient_pairs()
+
+
+@pytest.mark.parametrize("name", [*bundled_algebra_names(), "CS3@1", *QUOTIENT_PAIRS])
 def test_solve_reads_the_verdicts(name):
-    """solve_sim and solve_rw list the d whose quadruple verdict holds; the
-    two paths read two contexts, so neither sees the other's memo."""
-    fast, slow = context(name), context(name)
-    u = fast.alg_a.universe
-    for a, b, c in itertools.product(u, repeat=3):
+    """solve_sim and solve_rw list the d in B whose quadruple verdict holds,
+    for a, b in A and c in B; the two paths read two contexts, so neither
+    sees the other's memo."""
+    if name in QUOTIENT_PAIRS:
+        fast, slow = (build_pair_context(*QUOTIENT_PAIRS[name], Bounds()) for _ in range(2))
+    else:
+        fast, slow = context(name), context(name)
+    A, B = fast.alg_a.universe, fast.alg_b.universe
+    for a, b, c in itertools.product(A, A, B):
         for policy in POLICIES:
             assert solve_sim(a, b, c, fast, policy) == [
-                d for d in u if proportion_sim(a, b, c, d, slow, policy)
+                d for d in B if proportion_sim(a, b, c, d, slow, policy)
             ]
-        assert solve_rw(a, b, c, fast) == [d for d in u if proportion_rw(a, b, c, d, slow)]
+        assert solve_rw(a, b, c, fast) == [d for d in B if proportion_rw(a, b, c, d, slow)]
 
 
 def test_solve_rejects_an_unknown_policy():
