@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .terms import App, Language, Term, Var
+from .terms import Language, Term, Var
 
 __all__ = [
     "Element",
@@ -140,6 +141,35 @@ def is_isomorphism(h: Mapping) -> bool:
     return bijective and is_homomorphism(h)
 
 
+def term_table(
+    t: Term, alg: FiniteAlgebra, variables: tuple[int, ...]
+) -> tuple[Element, ...]:
+    """The value table of t over assignments to ``variables``, in product order.
+
+    Computed bottom-up: each variable reads its projection column, and each
+    application is one mapped lookup into its op table over the zipped
+    tables of its children.
+    """
+    if len(variables) == 1:  # the one column of the product order is the universe
+        columns = {variables[0]: alg.universe}
+    else:
+        columns = dict(zip(variables, zip(*itertools.product(alg.universe, repeat=len(variables)))))
+    size = len(alg.universe) ** len(variables)
+
+    def table(u: Term) -> tuple[Element, ...]:
+        if isinstance(u, Var):
+            try:
+                return columns[u.index]
+            except KeyError:
+                raise KeyError(f"unassigned variable x{u.index}") from None
+        op = alg.tables[u.symbol]
+        if not u.children:
+            return (op[()],) * size
+        return tuple(map(op.__getitem__, zip(*map(table, u.children))))
+
+    return table(t)
+
+
 def solution_set(
     s: Term,
     a: Element,
@@ -149,19 +179,18 @@ def solution_set(
     """All assignments o over ``variables`` with s(o) = a, as value tuples."""
     if variables is None:
         variables = s.variables()
+    if len(set(variables)) != len(variables):
+        raise ValueError("variables must not repeat")
     if not set(s.variables()) <= set(variables):
         raise ValueError("variables must cover the variables of the term")
-    out = set()
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        o = dict(zip(variables, values))
-        if evaluate(s, alg, o) == a:
-            out.add(values)
-    return out
+    assignments = itertools.product(alg.universe, repeat=len(variables))
+    return {o for o, e in zip(assignments, term_table(s, alg, variables)) if e == a}
 
 
 def unique_solution_elements(s: Term, alg: FiniteAlgebra) -> set[Element]:
     """Elements with exactly one solution of a = s(x) over the term's variables."""
-    return {a for a in alg.universe if len(solution_set(s, a, alg)) == 1}
+    counts = Counter(term_table(s, alg, s.variables()))
+    return {a for a, n in counts.items() if n == 1}
 
 
 # --- spec file parsing -------------------------------------------------------
@@ -347,12 +376,3 @@ def load_algebra(text: str) -> tuple[Language, FiniteAlgebra]:
     alg = next(iter(spec.algebras.values()))
     return alg.language, alg
 
-
-def term_table(
-    t: Term, alg: FiniteAlgebra, variables: tuple[int, ...]
-) -> tuple[Element, ...]:
-    """The full denotation table of t over assignments to ``variables``."""
-    out = []
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        out.append(evaluate(t, alg, dict(zip(variables, values))))
-    return tuple(out)

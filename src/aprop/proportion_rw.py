@@ -8,16 +8,9 @@ similarity-based relation and the source of their divergence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .algebras import (
-    Element,
-    FiniteAlgebra,
-    evaluate,
-    solution_set,
-    unique_solution_elements,
-)
+from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
 from .terms import RewriteRule, Term
 from .verdicts import HOLDING, ArrowRelation, ProportionVerdict
@@ -59,18 +52,19 @@ def proportion_rw(
     return ProportionVerdict.of_conjuncts(RW, (a, b, c, d), ctx, "d-only")
 
 
+def _tables(rule: RewriteRule, alg: FiniteAlgebra, variables: tuple[int, ...]) -> tuple:
+    """For the rule s ->> t, the value tables of s and t over ``variables``."""
+    return term_table(rule.lhs, alg, variables), term_table(rule.rhs, alg, variables)
+
+
 def rule_in_jus(
     rule: RewriteRule,
     ar: Arrow,
     alg: FiniteAlgebra,
 ) -> bool:
-    """Direct membership of s ->> t in Jus(a -> b), by enumerating assignments."""
-    variables = rule.lhs.variables()
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        o = dict(zip(variables, values))
-        if evaluate(rule.lhs, alg, o) == ar[0] and evaluate(rule.rhs, alg, o) == ar[1]:
-            return True
-    return False
+    """Direct membership of s ->> t in Jus(a -> b): one assignment sends s to a, t to b."""
+    a, b = ar
+    return (a, b) in zip(*_tables(rule, alg, rule.lhs.variables()))
 
 
 def jus_membership_via_solutions(
@@ -89,13 +83,16 @@ def jus_membership_via_solutions(
     variable of t occurs in s, t simply ignores the unused coordinates.
     """
     rule = RewriteRule(s, t)  # validates the variable-containment condition
-    variables = rule.lhs.variables()
-    in_a = bool(
-        solution_set(s, a, alg_a, variables) & solution_set(t, b, alg_a, variables)
-    )
-    in_b = bool(
-        solution_set(s, c, alg_b, variables) & solution_set(t, d, alg_b, variables)
-    )
+    variables = s.variables()
+
+    def solutions(table: tuple, e: Element) -> set[int]:
+        # each assignment with value e, by its rank in the table's product order
+        return {i for i, v in enumerate(table) if v == e}
+
+    s_a, t_a = _tables(rule, alg_a, variables)
+    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(rule, alg_b, variables)
+    in_a = bool(solutions(s_a, a) & solutions(t_a, b))
+    in_b = bool(solutions(s_b, c) & solutions(t_b, d))
     return in_a and in_b
 
 
@@ -107,14 +104,18 @@ def is_characteristic_r_justification_set(
     alg_b: FiniteAlgebra,
 ) -> bool:
     """Whether the rule set pins d uniquely while c stays fixed."""
-    rules = list(rules)
-    if not all(rule_in_jus(r, ar1, alg_a) and rule_in_jus(r, ar2, alg_b) for r in rules):
+    rels_a = [set(zip(*_tables(r, alg_a, r.lhs.variables()))) for r in rules]
+    rels_b = (
+        rels_a if alg_b is alg_a
+        else [set(zip(*_tables(r, alg_b, r.lhs.variables()))) for r in rules]
+    )
+    if not all(ar1 in ra and ar2 in rb for ra, rb in zip(rels_a, rels_b)):
         return False
     c, d = ar2
     for d2 in alg_b.universe:
         if d2 == d:
             continue
-        if all(rule_in_jus(r, (c, d2), alg_b) for r in rules):
+        if all((c, d2) in rb for rb in rels_b):
             return False
     return True
 
@@ -150,14 +151,25 @@ def uniqueness_lemma_check(
     the inputs.
     """
     alg_a, alg_b = ctx.alg_a, ctx.alg_b
-    member = rule_in_jus(rule, (a, b), alg_a) and rule_in_jus(rule, (c, d), alg_b)
-    premise_arrow = member and c in unique_solution_elements(rule.lhs, alg_b)
+    variables = rule.lhs.variables()
+    s_a, t_a = _tables(rule, alg_a, variables)
+    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(rule, alg_b, variables)
+    member = (a, b) in zip(s_a, t_a) and (c, d) in zip(s_b, t_b)
+    # e = u(x) has one solution over u's own variables exactly when e fills
+    # |U|^free cells of u's table over the variables of s, where free counts
+    # the variables of s that u lacks (none when u is s)
+    free = len(variables) - len(rule.rhs.variables())
+
+    def unique(table: tuple, e: Element, alg: FiniteAlgebra, extra: int) -> bool:
+        return table.count(e) == len(alg.universe) ** extra
+
+    premise_arrow = member and unique(s_b, c, alg_b, 0)
     premise_full = (
         member
-        and a in unique_solution_elements(rule.lhs, alg_a)
-        and b in unique_solution_elements(rule.rhs, alg_a)
-        and c in unique_solution_elements(rule.lhs, alg_b)
-        and d in unique_solution_elements(rule.rhs, alg_b)
+        and unique(s_a, a, alg_a, 0)
+        and unique(t_a, b, alg_a, free)
+        and unique(s_b, c, alg_b, 0)
+        and unique(t_b, d, alg_b, free)
     )
     # read from the memo of arrow codes, without building verdicts
     conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import Element, FiniteAlgebra, evaluate
+from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
 from .terms import ArrowPattern
 from .verdicts import ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
@@ -64,12 +64,8 @@ def pattern_relation(
     p: ArrowPattern, alg: FiniteAlgebra
 ) -> frozenset[tuple[Element, Element]]:
     """The binary relation {(s(o), t(o))} with one shared assignment."""
-    variables = list(dict.fromkeys(p.lhs.variables() + p.rhs.variables()))
-    rel = set()
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        o = dict(zip(variables, values))
-        rel.add((evaluate(p.lhs, alg, o), evaluate(p.rhs, alg, o)))
-    return frozenset(rel)
+    variables = tuple(dict.fromkeys(p.lhs.variables() + p.rhs.variables()))
+    return frozenset(zip(term_table(p.lhs, alg, variables), term_table(p.rhs, alg, variables)))
 
 
 def is_characteristic_justification_set(
@@ -85,7 +81,9 @@ def is_characteristic_justification_set(
     """
     patterns = list(patterns)
     rels_a = [pattern_relation(p, ctx.alg_a) for p in patterns]
-    rels_b = [pattern_relation(p, ctx.alg_b) for p in patterns]
+    rels_b = (
+        rels_a if ctx.alg_b is ctx.alg_a else [pattern_relation(p, ctx.alg_b) for p in patterns]
+    )
     if not all(ar1 in r for r in rels_a):
         return False
     if not all(ar2 in r for r in rels_b):

@@ -9,10 +9,9 @@ symmetric conjunction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
-from .algebras import Element, FiniteAlgebra, evaluate
+from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
 from .terms import Term
 from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
@@ -62,12 +61,8 @@ def similar(
 
 
 def generalizes(t: Term, a: Element, alg: FiniteAlgebra) -> bool:
-    """Whether a = t(o) for some assignment o, by direct enumeration."""
-    variables = t.variables()
-    for values in itertools.product(alg.universe, repeat=len(variables)):
-        if evaluate(t, alg, dict(zip(variables, values))) == a:
-            return True
-    return False
+    """Whether a = t(o) for some assignment o: a is in t's value table."""
+    return a in term_table(t, alg, t.variables())
 
 
 def is_characteristic_generalization_set(
@@ -79,19 +74,18 @@ def is_characteristic_generalization_set(
 ) -> bool:
     """Whether the term set pins b uniquely among competitor elements."""
     check_policy(policy)
-    terms = list(terms)
-    if not all(
-        generalizes(t, a, ctx.alg_a) and generalizes(t, b, ctx.alg_b) for t in terms
-    ):
+    images_a = [set(term_table(t, ctx.alg_a, t.variables())) for t in terms]
+    images_b = (
+        images_a if ctx.alg_b is ctx.alg_a
+        else [set(term_table(t, ctx.alg_b, t.variables())) for t in terms]
+    )
+    if not all(a in ia and b in ib for ia, ib in zip(images_a, images_b)):
         return False
     for b2 in ctx.alg_b.universe:
         if b2 == b:
             continue
         if policy == "literal" and b2 == a:
             continue
-        if all(
-            generalizes(t, a, ctx.alg_a) and generalizes(t, b2, ctx.alg_b)
-            for t in terms
-        ):
+        if all(a in ia and b2 in ib for ia, ib in zip(images_a, images_b)):
             return False
     return True

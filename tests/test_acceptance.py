@@ -10,6 +10,7 @@ this file or verified against the bundled vector suite; none were invented.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -336,8 +337,9 @@ class TestDeterminism:
 
     def test_vector_suite_output_stable(self):
         cmd = [sys.executable, "-m", "aprop.cli", "--format", "machine", "vectors"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        first = subprocess.run(cmd, env=env, capture_output=True)
+        second = subprocess.run(cmd, env=env, capture_output=True)
         assert first.stdout
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
