@@ -289,6 +289,9 @@ class PairContext:
     # The verdict layer's memo of this side, not shared with a mirror:
     # (arrow relation, policy) -> {(x, y, z, w): code of x->y against z->w}.
     arrow_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Beside it, the quadruple tables of this side read by the sweeps:
+    # (arrow relation, policy) -> one int of (c, d) bits per row (a, b).
+    quad_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def saturated(self) -> bool:

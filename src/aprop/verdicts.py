@@ -5,14 +5,16 @@ bitmask id sets, which returns a small code: (reason, lowest shared id or
 -1, position of the dominating competitor or -1).  Arrow codes are memoized
 per context (a one-algebra context is its own mirror), in one dict per arrow
 relation and policy keyed by the four elements of the compared arrows; a
-``ProportionVerdict`` is built from codes only when one is asked for.
+``ProportionVerdict`` is built from codes only when one is asked for.  The
+sweeps read a relation's quadruples from its table on a context side: one
+int bitmask per row (a, b), decided once from the codes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 from typing import NamedTuple
 
 __all__ = ["ProportionVerdict", "ArrowRelation", "CompetitorPolicy", "check_policy"]
@@ -230,3 +232,24 @@ class ArrowRelation(NamedTuple):
             return found[0] in HOLDING
 
         return holds
+
+    def table(self, side, policy) -> tuple[int, ...]:
+        """The quadruple relation a:b <sign> c:d on ``side``, as one int per row
+        (a, b) in A x A product order, whose bit k is set when it holds for the
+        k-th pair (c, d) of B x B.
+
+        Built on first use by one ``decider`` call per quadruple and kept in
+        ``side.quad_tables``, one per relation and policy.  It holds ints
+        only, so it references no context.
+        """
+        policy = self.policy or policy
+        rows = side.quad_tables.get((self, policy))
+        if rows is None:
+            holds = self.decider(side, policy)
+            A, B = side.alg_a.universe, side.alg_b.universe
+            bits = [(c, d, 1 << k) for k, (c, d) in enumerate(product(B, B))]
+            rows = side.quad_tables[self, policy] = tuple(
+                sum(bit for c, d, bit in bits if holds(side, (a, b, c, d)))
+                for a, b in product(A, A)
+            )
+        return rows

@@ -1,10 +1,12 @@
 """Axiom-schema checking, regression vectors, and isomorphism transfer checks.
 
-The twelve axiom schemata are checked by exhaustive enumeration of the
-element tuples in their statements.  Cross-universe membership conditions
-(a in A intersect B and the like) match elements by name.  Vector files
-pin expected verdicts for the bundled algebras; a mismatch is reported,
-never silently adjusted.
+The twelve axiom schemata are checked as queries over the proportion
+relation of each context side, decided once as a table: the schemata of at
+most four variables by their statement, read bit by bit, and the two
+six-variable transitivity schemata by joins of its rows.  Cross-universe
+membership conditions (a in A intersect B and the like) match elements by
+name.  Vector files pin expected verdicts for the bundled algebras; a
+mismatch is reported, never silently adjusted.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ class Framework(NamedTuple):
     """How one relation decides a quadruple, solves for d and indexes its arrows.
 
     ``arrows`` is its directed arrow relation: the sign, the competitor label
-    and the kernel's operands.  It keys the relation's memo of arrow codes on
-    every context, so ``decide``, ``solve``, ``check_axiom`` and
-    ``compare_frameworks`` read one memo; all but ``decide`` read booleans.
+    and the kernel's operands.  It keys the relation's memo of arrow codes and
+    its quadruple tables on every context: ``decide`` and ``solve`` read the
+    memo, ``check_axiom`` and ``compare_frameworks`` the tables, and all but
+    ``decide`` read booleans.
     """
 
     decide: Callable[[Quadruple, PairContext, CompetitorPolicy], ProportionVerdict]
@@ -93,19 +96,92 @@ FRAMEWORKS: dict[str, Framework] = {
 class AxiomSchema:
     """One of the twelve proportional axioms, stated in full.
 
+    A schema of at most four variables carries its statement.
     ``instances(A, B, S)`` enumerates the element tuples of the statement
     from the universes of A and B and their shared elements S.
     ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
     counterexample, where ``p`` decides proportions in the (A, B) context
     ``ab`` and in ``ba = ab.swapped()`` on (B, A), which is ``ab`` itself on
-    one algebra.  Schemata over one or three algebras are read with A = B
-    (and C = B).
+    one algebra.  A six-variable schema carries a ``join`` instead:
+    ``join(rows, A, B)`` gives the first counterexample of its statement, or
+    None, and the instances the short-circuit enumeration of the statement
+    evaluates up to it, from the table ``rows`` of the (A, B) side (see
+    ``ArrowRelation.table``).  Schemata over one or three algebras are read
+    with A = B (and C = B).
     """
 
     name: str
     context_arity: int
-    instances: Callable[..., Iterable[tuple[Element, ...]]]
-    violated: Callable[..., bool]
+    instances: Callable[..., Iterable[tuple[Element, ...]]] | None = None
+    violated: Callable[..., bool] | None = None
+    join: Callable[..., tuple[tuple[Element, ...] | None, int]] | None = None
+
+
+def _reads_to(cd: int, width: int, second: int, f: int) -> int:
+    """The proportions a join's block evaluates up to its counterexample
+    (cd, f), past the extra reads of the lower cd with p1 true: one read for
+    each of the ``width`` instances of a lower cd, and for each f' <= f two
+    reads, plus the third when ``second``, the p2 bits, holds f'."""
+    return cd * width + 2 * (f + 1) + (second & ((2 << f) - 1)).bit_count()
+
+
+def _transitivity_join(rows, A, B):
+    """p-transitivity, (a:b, c:d) and (c:d, e:f) in the relation but not
+    (a:b, e:f), in the order of ``product(A, A, B, B, B, B)``.
+
+    With ab, cd and ef ranked in A x A = B x B, the pair (ab, cd) of the
+    relation is violated by each ef in ``rows[cd] & ~rows[ab]``, the least
+    first.  An instance evaluates 1 + [p1] + [p1 and p2] proportions.
+    """
+    pairs, instances = len(rows), 0
+    for ab, row in enumerate(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cd = low.bit_length() - 1
+            second = rows[cd]
+            bad = second & ~row
+            if bad:
+                ef = (bad & -bad).bit_length() - 1
+                (a, b), (c, d), (e, f) = (divmod(r, len(A)) for r in (ab, cd, ef))
+                return (A[a], A[b], B[c], B[d], B[e], B[f]), instances + _reads_to(
+                    cd, pairs, second, ef
+                )
+            instances += pairs + second.bit_count()
+        instances += pairs * pairs
+    return None, instances
+
+
+def _inner_transitivity_join(rows, A, B):
+    """inner-p-transitivity, a:b ~ c:d and b:e ~ d:f but not a:e ~ c:f, in the
+    order of ``product(A, A, A, B, B, B)`` over (a, b, e, c, d, f).
+
+    Row slices of nB bits hold, for ``rows[b, e]`` at d, the f with b:e ~ d:f,
+    and for ``rows[a, e]`` at c, the f with a:e ~ c:f.  Each (c, d) with
+    a:b ~ c:d is violated by the f of the first slice that are not in the
+    second, the least first.
+    """
+    nA, nB, instances = len(A), len(B), 0
+    mask = (1 << nB) - 1
+    slices = [[row >> x * nB & mask for x in range(nB)] for row in rows]
+    for a, b, e in product(range(nA), repeat=3):
+        rest, seconds, thirds = rows[a * nA + b], slices[b * nA + e], slices[a * nA + e]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cd = low.bit_length() - 1
+            c, d = divmod(cd, nB)
+            second = seconds[d]
+            bad = second & ~thirds[c]
+            if bad:
+                f = (bad & -bad).bit_length() - 1
+                return (A[a], A[b], B[c], B[d], A[e], B[f]), instances + _reads_to(
+                    cd, nB, second, f
+                )
+            instances += nB + second.bit_count()
+        instances += nB ** 3
+    return None, instances
 
 
 AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
@@ -147,20 +223,9 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
             "p-commutativity", 2, lambda A, B, S: product(S, repeat=2),
             lambda p, ab, ba, a, b: not p(ab, (a, b, b, a)),
         ),
-        AxiomSchema(
-            "p-transitivity", 3, lambda A, B, S: product(A, A, B, B, B, B),
-            lambda p, ab, ba, a, b, c, d, e, f: p(ab, (a, b, c, d))
-            and p(ab, (c, d, e, f)) and not p(ab, (a, b, e, f)),
-        ),
+        AxiomSchema("p-transitivity", 3, join=_transitivity_join),
         # enumerated in the order (a, b, e, c, d, f), reported as (a, ..., f)
-        AxiomSchema(
-            "inner-p-transitivity", 2,
-            lambda A, B, S: (
-                (a, b, c, d, e, f) for a, b, e, c, d, f in product(A, A, A, B, B, B)
-            ),
-            lambda p, ab, ba, a, b, c, d, e, f: p(ab, (a, b, c, d))
-            and p(ab, (b, e, d, f)) and not p(ab, (a, e, c, f)),
-        ),
+        AxiomSchema("inner-p-transitivity", 2, join=_inner_transitivity_join),
         AxiomSchema(
             "central-p-transitivity", 3, lambda A, B, S: product(A, S, S, B),
             lambda p, ab, ba, a, b, c, d: p(ab, (a, b, b, c))
@@ -186,13 +251,20 @@ class CheckReport:
         return self.holds
 
 
-def _proportion(framework: str, ctx: PairContext, policy: CompetitorPolicy) -> Callable[..., bool]:
-    """``p(side, q)`` for ``side`` either ``ctx`` or ``ctx.swapped()``: whether ``q``
-    holds there in ``framework``, read from the memo without building a verdict."""
+def _arrows(framework: str, policy: CompetitorPolicy) -> ArrowRelation:
+    """The arrow relation of ``framework``, once ``framework`` and ``policy`` are known."""
     if framework not in FRAMEWORKS:
         raise ValueError(f"unknown framework {framework!r}")
     check_policy(policy)
-    return FRAMEWORKS[framework].arrows.decider(ctx, policy)
+    return FRAMEWORKS[framework].arrows
+
+
+def _bit(relation: ArrowRelation, side: PairContext, policy: CompetitorPolicy):
+    """``bit(a, b, c, d)``: whether a:b, c:d is in ``relation`` on ``side``,
+    one read of its table."""
+    rows, A, B = relation.table(side, policy), side.alg_a.index, side.alg_b.index
+    nA, nB = len(A), len(B)
+    return lambda a, b, c, d: rows[A[a] * nA + A[b]] >> B[c] * nB + B[d] & 1 == 1
 
 
 def check_axiom(
@@ -201,15 +273,16 @@ def check_axiom(
     framework: str = "sim",
     policy: CompetitorPolicy = "literal",
 ) -> CheckReport:
-    """Exhaustively check one axiom schema on the (A, B) context ``ctx``,
-    returning the first counterexample in enumeration order.
+    """Check one axiom schema on the (A, B) context ``ctx``, returning the
+    first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
-    Each quadruple is decided once per call and context (``ctx`` and
-    ``ctx.swapped()``, one context on one algebra) and read from the memo of
-    arrow codes as a boolean; no verdict is built.  ``instances`` counts the
-    proportion evaluations the short-circuit enumeration makes, repeats
-    included, so the memo leaves it unchanged.
+    The schema is a query over the table of each side it reads (``ctx`` and
+    ``ctx.swapped()``, one context on one algebra), which decides each
+    quadruple once per context, relation and policy; no verdict is built.
+    ``instances`` counts the proportion evaluations the short-circuit
+    enumeration of the statement makes up to its first counterexample,
+    repeats included: a statement counts its reads, a join derives the count.
     """
     if name not in AXIOM_SCHEMATA:
         raise ValueError(f"unknown axiom {name!r}")
@@ -220,24 +293,26 @@ def check_axiom(
             f"{name} is checked with A = B, but {ctx.alg_a.name} and"
             f" {ctx.alg_b.name} differ in their universes or tables"
         )
-    proportion, instances = _proportion(framework, ctx, policy), 0
-    ba, violated = ctx.swapped(), schema.violated
-    here: dict[Quadruple, bool] = {}
-    there: dict[Quadruple, bool] = {}
+    relation = _arrows(framework, policy)
+    if schema.join is not None:
+        ce, instances = schema.join(relation.table(ctx, policy), A, B)
+    else:
+        ba, instances = ctx.swapped(), 0
+        here, there = _bit(relation, ctx, policy), None
 
-    def p(side: PairContext, q: Quadruple) -> bool:
-        nonlocal instances
-        instances += 1
-        seen = here if side is ctx else there
-        found = seen.get(q)
-        if found is None:
-            found = seen[q] = proportion(side, q)
-        return found
+        def p(side: PairContext, q: Quadruple) -> bool:
+            nonlocal instances, there
+            instances += 1
+            if side is ctx:
+                return here(*q)
+            if there is None:
+                there = _bit(relation, side, policy)
+            return there(*q)
 
-    shared = tuple(e for e in A if e in ctx.alg_b.index)
-    # The first counterexample, found in C without a generator frame per instance.
-    xs, again = tee(schema.instances(A, B, shared))
-    ce = next(compress(xs, starmap(partial(violated, p, ctx, ba), again)), None)
+        shared = tuple(e for e in A if e in ctx.alg_b.index)
+        # The first counterexample, found in C without a generator frame per instance.
+        xs, again = tee(schema.instances(A, B, shared))
+        ce = next(compress(xs, starmap(partial(schema.violated, p, ctx, ba), again)), None)
     return CheckReport(
         schema=name,
         framework=framework,
@@ -316,7 +391,7 @@ def run_paper_vectors(
         if kind == "quad":
             name, framework, policy, a, b, c, d, expected = fields[1:]
             ctx = ctx_for(name)
-            got = _proportion(framework, ctx, policy)(ctx, (a, b, c, d))
+            got = _arrows(framework, policy).decider(ctx, policy)(ctx, (a, b, c, d))
             actual = "holds" if got else "fails"
             description = f"{name} {framework} {a}:{b} to {c}:{d}"
         elif kind == "axiom":
@@ -342,14 +417,18 @@ def run_paper_vectors(
 def compare_frameworks(
     ctx: PairContext, policy: CompetitorPolicy = "literal"
 ) -> list[tuple[Quadruple, bool, bool]]:
-    """All quadruples where the two frameworks disagree, in universe order."""
-    deciders = [_proportion(name, ctx, policy) for name in FRAMEWORKS]
+    """All quadruples where the two frameworks disagree, in universe order:
+    the bits where the rows of their two tables on ``ctx`` differ."""
+    sim, rw = (_arrows(name, policy).table(ctx, policy) for name in FRAMEWORKS)
+    pairs = list(product(ctx.alg_b.universe, repeat=2))
     out = []
-    for q in product(ctx.alg_a.universe, ctx.alg_a.universe,
-                     ctx.alg_b.universe, ctx.alg_b.universe):
-        s, r = (holds(ctx, q) for holds in deciders)
-        if s != r:
-            out.append((q, s, r))
+    for (a, b), s, r in zip(product(ctx.alg_a.universe, repeat=2), sim, rw):
+        differ = s ^ r
+        while differ:
+            low = differ & -differ
+            differ ^= low
+            c, d = pairs[low.bit_length() - 1]
+            out.append(((a, b, c, d), s & low != 0, r & low != 0))
     return out
 
 

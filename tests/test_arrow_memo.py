@@ -1,13 +1,14 @@
 """The memo of arrow codes: each arrow verdict is decided once per context
 side, framework and policy, and what the memo holds does not depend on the
 order in which verdicts were asked for.  The sweeps read booleans from it:
-they build no verdict, and ``check_axiom`` decides each quadruple once per
-call and side."""
+they build no verdict, and ``compare_frameworks`` and ``check_axiom`` read
+tables that decide each quadruple once per side, relation and policy."""
 
 import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from test_clone import generated_algebra
@@ -140,15 +141,16 @@ def test_sweeps_build_no_verdict(name, monkeypatch):
 
 @pytest.fixture
 def decider_calls(monkeypatch):
-    """The (side, quadruple) of every call of a decider's ``holds``."""
+    """The (side, relation sign, policy, quadruple) of every call of a
+    decider's ``holds``, with the policy the relation decides under."""
     calls = []
     decider = ArrowRelation.decider
 
     def traced_decider(self, ctx, policy):
-        holds = decider(self, ctx, policy)
+        holds, policy = decider(self, ctx, policy), self.policy or policy
 
         def traced(side, q):
-            calls.append((id(side), q))
+            calls.append((id(side), self.sign, policy, q))
             return holds(side, q)
 
         return traced
@@ -158,17 +160,20 @@ def decider_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
-def test_check_axiom_decides_each_quadruple_once(name, decider_calls):
+def test_a_sweep_decides_each_quadruple_once(name, decider_calls):
+    """compare and every axiom check, under both policies, read one table per
+    side, relation and policy: at most |A|^2 |B|^2 quadruples each, each
+    decided once, and none again on a second sweep."""
     ctx = context(name)
-    sides = {id(ctx), id(ctx.swapped())}
-    for policy in POLICIES:
-        for framework in FRAMEWORKS:
-            for schema in AXIOM_SCHEMATA:
-                decider_calls.clear()
-                report = check_axiom(schema, ctx, framework=framework, policy=policy)
-                assert decider_calls
-                assert len(decider_calls) == len(set(decider_calls)) <= report.instances
-                assert {side for side, _ in decider_calls} <= sides
+    sweep(ctx)
+    assert decider_calls
+    assert len(decider_calls) == len(set(decider_calls))
+    assert {side for side, *_ in decider_calls} <= {id(ctx), id(ctx.swapped())}
+    per_table = Counter(call[:3] for call in decider_calls)
+    assert max(per_table.values()) <= len(ctx.alg_a.universe) ** 2 * len(ctx.alg_b.universe) ** 2
+    decider_calls.clear()
+    sweep(ctx)
+    assert decider_calls == []
 
 
 def test_check_axiom_keeps_the_two_sides_apart(monkeypatch):
