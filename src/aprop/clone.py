@@ -14,6 +14,7 @@ on those relation classes.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, attrgetter
@@ -238,28 +239,34 @@ def _pair_key(s: Term, t: Term) -> tuple[int, str, str]:
     return (depth_s + depth_t, str_s, str_t)
 
 
-def _bitmask(ids) -> int:
-    """The int with bit i set for every id i in ``ids``.
+def _masks(keys, member_sets: list) -> dict:
+    """Key -> int with bit i set when ``member_sets[i]`` contains the key.
 
-    Written as binary digits and parsed once: linear in the largest id,
-    where or-ing in one shifted bit per id is quadratic.
+    Each key's bits are written as binary digits after one leading 0 and
+    parsed once: linear in the set count, where or-ing in bits is quadratic.
     """
-    if not ids:
-        return 0
-    top = max(ids)
-    digits = bytearray(b"0") * (top + 1)
-    for i in ids:
-        digits[top - i] = 49  # "1"
-    return int(digits, 2)
-
-
-def _ids_containing(keys, member_sets) -> dict:
-    """Key -> ids (positions in ``member_sets``) of the sets containing it."""
-    out = {key: set() for key in keys}
+    count = len(member_sets)
+    digits = {key: bytearray(b"0") * (count + 1) for key in keys}
     for i, members in enumerate(member_sets):
         for key in members:
-            out[key].add(i)
-    return {key: frozenset(ids) for key, ids in out.items()}
+            digits[key][count - i] = 49  # "1"
+    return {key: int(row, 2) for key, row in digits.items()}
+
+
+class _IdView(Mapping):
+    """A mask index read as key -> frozenset of ids, decoded on each read."""
+
+    def __init__(self, masks: dict):
+        self.masks = masks
+
+    def __getitem__(self, key) -> frozenset[int]:
+        return frozenset(i for i, bit in enumerate(bin(self.masks[key])[:1:-1]) if bit == "1")
+
+    def __iter__(self):
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 @dataclass
@@ -268,12 +275,12 @@ class PairContext:
 
     The indexes map an element or arrow of one side to ids: positions in
     ``clone.classes`` (``elem_up_*``) or ``relations`` (``cont_*``, ``jus_*``).
-    ``swapped()`` is the context on (B, A).  On one algebra (``alg_b is
-    alg_a``) it is the context itself, with one memo; on two it is a mirror
-    built once and linked both ways, sharing ``clone`` and ``relations``.
-    Only the A-side indexes are computed: each B-side index is the A-side one
-    of ``swapped()``.  ``bitmasks`` gives an index with its id sets as ints,
-    for the verdict kernel.
+    Each is computed once, on first use, as int masks (``*_masks``, bit i for
+    id i) that the kernel reads; ``cont_a``, ``jus_a`` and ``elem_up_a`` are
+    read-only views of them, decoded to frozensets per read.  ``swapped()`` is
+    the context on (B, A): on one algebra the context itself, with one memo;
+    on two a mirror built once and linked both ways, sharing ``clone`` and
+    ``relations``.  Each B-side index is the A-side one of ``swapped()``.
     """
 
     alg_a: FiniteAlgebra
@@ -302,39 +309,48 @@ class PairContext:
         return self.clone.bounds
 
     @cached_property
-    def cont_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        """Arrow -> ids of non-trivial relation classes containing it in A."""
+    def cont_masks(self) -> dict[tuple[Element, Element], int]:
+        """Arrow -> bit i set for each non-trivial relation class i containing it in A."""
         rel = attrgetter("rel_a" if self.mirror_of is None else "rel_b")
-        return _ids_containing(
-            itertools.product(self.alg_a.universe, repeat=2),
-            (() if rc.trivial else rel(rc) for rc in self.relations),
-        )
+        sets = [() if rc.trivial else rel(rc) for rc in self.relations]
+        return _masks(itertools.product(self.alg_a.universe, repeat=2), sets)
 
     @cached_property
-    def cont_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
+    def jus_masks(self) -> dict[tuple[Element, Element], int]:
+        """``cont_masks`` restricted to the rewrite-witnessed relation classes."""
+        witnessed = [(0,) if rc.has_rewrite_witness else () for rc in self.relations]
+        rewritten = _masks([0], witnessed)[0]
+        return {ar: mask & rewritten for ar, mask in self.cont_masks.items()}
+
+    @cached_property
+    def elem_up_masks(self) -> dict[Element, int]:
+        """Element -> bit i set for each non-trivial class i whose A-image contains it."""
+        image = attrgetter("image_a" if self.mirror_of is None else "image_b")
+        sets = [() if self.class_trivial(c) else image(c) for c in self.clone.classes]
+        return _masks(self.alg_a.universe, sets)
+
+    @cached_property
+    def cont_a(self) -> Mapping[tuple[Element, Element], frozenset[int]]:
+        return _IdView(self.cont_masks)
+
+    @cached_property
+    def cont_b(self) -> Mapping[tuple[Element, Element], frozenset[int]]:
         return self.swapped().cont_a
 
     @cached_property
-    def jus_a(self) -> dict[tuple[Element, Element], frozenset[int]]:
-        """Arrow -> ids of non-trivial rewrite-witnessed classes containing it."""
-        rewritten = [rc.has_rewrite_witness for rc in self.relations].__getitem__
-        return {ar: frozenset(filter(rewritten, ids)) for ar, ids in self.cont_a.items()}
+    def jus_a(self) -> Mapping[tuple[Element, Element], frozenset[int]]:
+        return _IdView(self.jus_masks)
 
     @cached_property
-    def jus_b(self) -> dict[tuple[Element, Element], frozenset[int]]:
+    def jus_b(self) -> Mapping[tuple[Element, Element], frozenset[int]]:
         return self.swapped().jus_a
 
     @cached_property
-    def elem_up_a(self) -> dict[Element, frozenset[int]]:
-        """Element -> ids of non-trivial denotation classes whose A-image contains it."""
-        image = attrgetter("image_a" if self.mirror_of is None else "image_b")
-        return _ids_containing(
-            self.alg_a.universe,
-            (() if self.class_trivial(c) else image(c) for c in self.clone.classes),
-        )
+    def elem_up_a(self) -> Mapping[Element, frozenset[int]]:
+        return _IdView(self.elem_up_masks)
 
     @cached_property
-    def elem_up_b(self) -> dict[Element, frozenset[int]]:
+    def elem_up_b(self) -> Mapping[Element, frozenset[int]]:
         return self.swapped().elem_up_a
 
     def class_trivial(self, cls: DenotationClass) -> bool:
@@ -344,24 +360,6 @@ class PairContext:
             len(cls.image_a) == len(self.clone.alg_a.universe)
             and len(cls.image_b) == len(self.clone.alg_b.universe)
         )
-
-    def bitmasks(self, index: str) -> dict:
-        """The index named ``index`` (``"cont_a"``, ``"jus_b"``, ``"elem_up_a"``, ...)
-        with every id set as an int whose bit i is set for id i.
-
-        Derived on first use, not by the build; a B-side view is the A-side
-        view of ``swapped()``.
-        """
-        if index.endswith("_b"):
-            return self.swapped().bitmasks(index[:-1] + "a")
-        views = self._bitmask_views
-        if index not in views:
-            views[index] = {key: _bitmask(ids) for key, ids in getattr(self, index).items()}
-        return views[index]
-
-    @cached_property
-    def _bitmask_views(self) -> dict[str, dict]:
-        return {}
 
     def swapped(self) -> PairContext:
         """The same context with the roles of the two algebras exchanged:

@@ -34,7 +34,7 @@ Arrow = tuple[Element, Element]
 def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: str) -> tuple:
     # The competitors are the arrows c -> d' of B, c = ar2[0], in order.
     competitors = [(ar2[0], d) for d in side.alg_b.universe]
-    return side.bitmasks("jus_a")[ar1], side.bitmasks("jus_b"), competitors, None
+    return side.jus_masks[ar1], side.swapped().jus_masks, competitors, None
 
 
 RW = ArrowRelation(":.", "->".join, _operands, "d-only")

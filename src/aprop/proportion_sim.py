@@ -30,8 +30,8 @@ Arrow = tuple[Element, Element]
 
 def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: CompetitorPolicy) -> tuple:
     # The competitors are every arrow of B: the keys of cont_b, in order.
-    right = side.bitmasks("cont_b")
-    return side.bitmasks("cont_a")[ar1], right, right, ar1 if policy == "literal" else None
+    right = side.swapped().cont_masks
+    return side.cont_masks[ar1], right, right, ar1 if policy == "literal" else None
 
 
 SIM = ArrowRelation("<~", "->".join, _operands)

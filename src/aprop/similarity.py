@@ -37,7 +37,7 @@ def lesssim(
         raise KeyError(f"unknown element {b!r}")
     classes = ctx.clone.classes
     return ProportionVerdict.of_maximality(
-        ctx.bitmasks("elem_up_a")[a], ctx.bitmasks("elem_up_b"), b, ctx.alg_b.universe, str,
+        ctx.elem_up_masks[a], ctx.swapped().elem_up_masks, b, ctx.alg_b.universe, str,
         lambda i: classes[i].witness, ctx, policy, a if policy == "literal" else None,
     )
 

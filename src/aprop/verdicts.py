@@ -51,7 +51,7 @@ def _decide(left: int, right: dict, target, competitors, skip) -> tuple[str, int
 
     ``target`` is dominated by the first competitor ``e`` (``skip`` excluded)
     whose share ``left & right[e]`` is a strict superset.  Id sets are int
-    bitmasks, so the lowest set bit is the least shared id.
+    masks, so the lowest set bit is the least shared id.
     """
     right_ids = right[target]
     if not left and not right_ids:
@@ -164,7 +164,7 @@ class ArrowRelation(NamedTuple):
     """A directed arrow relation ``ar1 <sign> ar2``, decided by the kernel.
 
     ``operands(ar1, ar2, side, policy)`` gives the kernel's left id set, the
-    right-hand index (both as bitmask views), the competitors of ``ar2`` as
+    right-hand index (both as int masks), the competitors of ``ar2`` as
     a re-iterable sequence and the competitor to skip, or None.  ``label``
     names a competitor arrow.  ``policy`` is the competitor policy every
     verdict of the relation reports, or None when the caller's applies.

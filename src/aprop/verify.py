@@ -482,11 +482,12 @@ def check_first_iso_theorem(
         raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
     iso = is_isomorphism(h)
     ctx = build_pair_context(h.source, h.target, bounds or Bounds())
+    cont_a, cont_b = ctx.cont_masks, ctx.swapped().cont_masks
     violations = []
     instances = 0
     for a, b in product(h.source.universe, repeat=2):
         image = (h(a), h(b))
-        premise = bool(ctx.cont_a[(a, b)]) or not ctx.cont_b[image]
+        premise = bool(cont_a[(a, b)]) or not cont_b[image]
         if premise:
             instances += 1
             if not arrow_lesssim((a, b), image, ctx, policy):

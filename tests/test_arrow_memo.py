@@ -270,3 +270,34 @@ def test_a_dropped_one_algebra_context_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+INDEX_VIEWS = ("cont_a", "cont_b", "jus_a", "jus_b", "elem_up_a", "elem_up_b")
+
+
+@pytest.mark.parametrize("name", ["A2", "A3:collapse-0"])
+def test_verdicts_and_sweeps_read_masks_not_views(name):
+    """Every verdict, solve, comparison and axiom reads the int masks: on a
+    fresh context, neither side ever builds a decoded index view."""
+    if name in QUOTIENT_PAIRS:
+        ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
+    else:
+        ctx = context(name)
+    A, B = ctx.alg_a.universe, ctx.alg_b.universe
+    for policy in POLICIES:
+        for q in itertools.product(A, A, B, B):
+            proportion_sim(*q, ctx, policy)
+            proportion_rw(*q, ctx)
+        for a, b, c in itertools.product(A, A, B):
+            solve_sim(a, b, c, ctx, policy)
+            solve_rw(a, b, c, ctx)
+        for a, b in itertools.product(A, B):
+            similar(a, b, ctx, policy)
+        compare_frameworks(ctx, policy)
+        for framework in FRAMEWORKS:
+            for schema in AXIOM_SCHEMATA.values():
+                if schema.context_arity == 2 or ctx.swapped() is ctx:
+                    check_axiom(schema.name, ctx, framework, policy)
+    for side in (ctx, ctx.swapped()):
+        assert [view for view in INDEX_VIEWS if view in vars(side)] == []
+        assert {"cont_masks", "jus_masks", "elem_up_masks"} <= set(vars(side))

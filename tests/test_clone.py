@@ -237,17 +237,21 @@ class TestRelationClasses:
         assert ctx.swapped() is ctx
         for name in ("cont", "jus", "elem_up"):
             assert getattr(ctx, f"{name}_b") is getattr(ctx, f"{name}_a")
-            assert ctx.bitmasks(f"{name}_b") is ctx.bitmasks(f"{name}_a")
+            # each view decodes the one mask index, not a copy of it
+            masks = getattr(ctx, f"{name}_masks")
+            assert getattr(ctx, f"{name}_b").masks is masks
+            assert getattr(ctx.swapped(), f"{name}_masks") is masks
 
-    def test_b_side_indexes_read_the_second_algebra(self):
-        """The B-side indexes of a two-algebra context, recomputed from
-        ``rel_b`` and ``image_b`` without going through ``swapped()``."""
-        h = quotient_homomorphisms(bundled_algebra("A3"))[0]
-        ctx = build_pair_context(h.source, h.target, Bounds(max_vars=2))
-        u = h.target.universe
+    @staticmethod
+    def assert_side_indexes(ctx, side: str) -> dict:
+        """The ``side`` ("a" or "b") indexes of ``ctx``, views and masks,
+        against a recomputation from ``rel_*`` and ``image_*`` one id at a
+        time, without going through ``swapped()``; returns the recomputation."""
+        u = (ctx.alg_a if side == "a" else ctx.alg_b).universe
         cont = {
             ar: frozenset(
-                i for i, rc in enumerate(ctx.relations) if not rc.trivial and ar in rc.rel_b
+                i for i, rc in enumerate(ctx.relations)
+                if not rc.trivial and ar in getattr(rc, f"rel_{side}")
             )
             for ar in itertools.product(u, repeat=2)
         }
@@ -258,18 +262,32 @@ class TestRelationClasses:
         elem_up = {
             e: frozenset(
                 i for i, c in enumerate(ctx.clone.classes)
-                if not ctx.class_trivial(c) and e in c.image_b
+                if not ctx.class_trivial(c) and e in getattr(c, f"image_{side}")
             )
             for e in u
         }
-        assert any(cont.values()) and any(jus.values()) and any(elem_up.values())
-        assert ctx.cont_b == cont
-        assert ctx.jus_b == jus
-        assert ctx.elem_up_b == elem_up
+        owner = ctx if side == "a" else ctx.swapped()
         for name, index in (("cont", cont), ("jus", jus), ("elem_up", elem_up)):
-            assert ctx.bitmasks(f"{name}_b") == {
+            assert getattr(ctx, f"{name}_{side}") == index
+            assert getattr(owner, f"{name}_masks") == {
                 key: sum(1 << i for i in ids) for key, ids in index.items()
             }
+        return {"cont": cont, "jus": jus, "elem_up": elem_up}
+
+    def test_b_side_indexes_read_the_second_algebra(self):
+        h = quotient_homomorphisms(bundled_algebra("A3"))[0]
+        ctx = build_pair_context(h.source, h.target, Bounds(max_vars=2))
+        index = self.assert_side_indexes(ctx, "b")
+        assert all(any(ids.values()) for ids in index.values())
+
+    def test_masks_and_views_reach_high_ids(self):
+        """CS4@1 has 1,944 relation classes, so its masks carry ids far past
+        one machine word; both sides are checked (one algebra: one context)."""
+        ctx = build_pair_context(generated_algebra("CS4"), bounds=Bounds(max_vars=1))
+        assert len(ctx.relations) == 1944
+        for side in ("a", "b"):
+            cont = self.assert_side_indexes(ctx, side)["cont"]
+            assert max(max(ids) for ids in cont.values()) > 1800
 
     def test_verdict_stable_once_saturated(self):
         from aprop.proportion_sim import proportion_sim
