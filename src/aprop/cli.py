@@ -5,7 +5,7 @@ print either human-readable text (``--format human``) or stable
 machine-readable lines (``--format machine``).  Exit codes: 0 when the
 queried relation holds or all checks pass, 1 when it fails or a
 counterexample exists, 2 on usage or input errors, 3 when the clone
-exceeds ``--class-cap`` before it saturates.
+exceeds ``--class-cap`` before it saturates or memory runs out.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ __all__ = ["main"]
 
 def _load_spec(path: str):
     # a missing file raises OSError, which main reports as an input error
-    with open(path) as fh:
-        return parse_spec_file(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_spec_file(fh.read())
+        except UnicodeDecodeError as exc:
+            raise AlgebraSpecError(f"{path} is not UTF-8: {exc}") from None
 
 
 def _load_algebras(paths: list[str]) -> tuple[FiniteAlgebra, FiniteAlgebra]:
@@ -282,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     except (AlgebraSpecError, TermSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

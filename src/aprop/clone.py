@@ -215,7 +215,7 @@ class RelationClass:
     """An arrow generalization s -> t up to its induced binary relations.
 
     ``rel_a`` is always the relation in the first algebra of the build, also
-    when the class is read through ``swapped()``.
+    when the class is read through ``swapped()``; on one algebra it is ``rel_b``.
     """
 
     rel_a: frozenset[tuple[Element, Element]]
@@ -388,7 +388,8 @@ def build_pair_context(
     relation class takes the least pair of class witnesses that induces it,
     and as rewrite witness the least pair of occurrence-set witnesses (s, t)
     with the variables of t among those of s.  Relation classes are listed
-    in the order of their witnesses.
+    in the order of their witnesses.  On one algebra (``alg_b`` is ``alg_a``
+    or None) pairs are grouped on A's arrows only, and ``rel_b`` is ``rel_a``.
     """
     clone = generate_clone(alg_a, alg_b, bounds)
     alg_b = clone.alg_b
@@ -419,18 +420,19 @@ def build_pair_context(
 
     # The relation of a class pair as one set of integer arrows: (x, y) in A
     # is x * |A| + y, (x, y) in B is |A|^2 + x * |B| + y.
+    same = alg_b is alg_a  # then the B half repeats the A half: A's arrows only
     index_a, index_b = alg_a.index, alg_b.index
     size_a, size_b = len(alg_a.universe), len(alg_b.universe)
     offset = size_a * size_a
     sources, targets = [], []
     for c in classes:
         codes_a = [index_a[e] for e in c.table_a]
-        codes_b = [index_b[e] for e in c.table_b]
+        codes_b = [] if same else [index_b[e] for e in c.table_b]
         sources.append(
             tuple(x * size_a for x in codes_a) + tuple(offset + x * size_b for x in codes_b)
         )
         targets.append(tuple(codes_a + codes_b))
-    full = frozenset(range(offset + size_b * size_b))
+    full = frozenset(range(offset if same else offset + size_b * size_b))
 
     # Visit class pairs in increasing witness-pair order, so the first pair
     # of a relation is its witness.  A rewrite pair is never smaller than the
@@ -462,9 +464,10 @@ def build_pair_context(
     while grouped:
         key, (i, j, found) = grouped.popitem()
         cs, ct = classes[i], classes[j]
+        rel_a = frozenset(zip(cs.table_a, ct.table_a))
         relations.append(RelationClass(
-            frozenset(zip(cs.table_a, ct.table_a)),
-            frozenset(zip(cs.table_b, ct.table_b)),
+            rel_a,
+            rel_a if same else frozenset(zip(cs.table_b, ct.table_b)),
             (cs.witness, ct.witness),
             trivial=key == full,
             rewrite_witness=None if found is None else found[1:],

@@ -173,7 +173,7 @@ def uniqueness_lemma_check(
     )
     # read from the memo of arrow codes, without building verdicts
     conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING
-    conclusion_full = RW.decider(ctx, "d-only")(ctx, (a, b, c, d))
+    conclusion_full = RW.decider(ctx, "d-only")((a, b, c, d))
     return UniquenessReport(
         rule=str(rule),
         quadruple=(a, b, c, d),
@@ -190,4 +190,4 @@ def uniqueness_lemma_check(
 def solve_rw(a: Element, b: Element, c: Element, ctx: PairContext) -> list[Element]:
     """All d in B with a:b :: c:d, in universe order."""
     holds = RW.decider(ctx, "d-only")
-    return [d for d in ctx.alg_b.universe if holds(ctx, (a, b, c, d))]
+    return [d for d in ctx.alg_b.universe if holds((a, b, c, d))]

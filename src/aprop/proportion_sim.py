@@ -105,4 +105,4 @@ def solve_sim(
 ) -> list[Element]:
     """All d in B with a:b ~ c:d, in universe order."""
     holds = SIM.decider(ctx, policy)
-    return [d for d in ctx.alg_b.universe if holds(ctx, (a, b, c, d))]
+    return [d for d in ctx.alg_b.universe if holds((a, b, c, d))]

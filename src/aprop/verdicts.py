@@ -205,30 +205,28 @@ class ArrowRelation(NamedTuple):
             ctx, policy, skip, self.code(ar1, ar2, ctx, policy),
         )
 
-    def decider(self, ctx, policy) -> Callable[..., bool]:
-        """``holds(side, q)``, for ``side`` either ``ctx`` or ``ctx.swapped()``
-        (``ctx`` itself on one algebra): whether a:b <sign> c:d holds there,
-        read from the memo without building a verdict.  The four codes are
-        those of ``of_conjuncts``.
+    def decider(self, ctx, policy) -> Callable[[tuple], bool]:
+        """``holds(q)``: whether a:b <sign> c:d holds on ``ctx``, read from the
+        memo without building a verdict.  The four codes are those of
+        ``of_conjuncts``: the first two from ``ctx``'s memo, the last two from
+        that of ``ctx.swapped()``, which is ``ctx`` itself on one algebra.
         """
         policy = self.policy or policy
         code, mirror = self.code, ctx.swapped()
-        forward = self.memo(ctx, policy), mirror, self.memo(mirror, policy)
-        backward = forward[2], ctx, forward[0]
+        here, there = self.memo(ctx, policy), self.memo(mirror, policy)
 
-        def holds(side, q) -> bool:
-            here, other, there = forward if side is ctx else backward
+        def holds(q) -> bool:
             a, b, c, d = q
-            found = here.get((a, b, c, d)) or code((a, b), (c, d), side, policy)
+            found = here.get((a, b, c, d)) or code((a, b), (c, d), ctx, policy)
             if found[0] not in HOLDING:
                 return False
-            found = here.get((b, a, d, c)) or code((b, a), (d, c), side, policy)
+            found = here.get((b, a, d, c)) or code((b, a), (d, c), ctx, policy)
             if found[0] not in HOLDING:
                 return False
-            found = there.get((c, d, a, b)) or code((c, d), (a, b), other, policy)
+            found = there.get((c, d, a, b)) or code((c, d), (a, b), mirror, policy)
             if found[0] not in HOLDING:
                 return False
-            found = there.get((d, c, b, a)) or code((d, c), (b, a), other, policy)
+            found = there.get((d, c, b, a)) or code((d, c), (b, a), mirror, policy)
             return found[0] in HOLDING
 
         return holds
@@ -238,9 +236,9 @@ class ArrowRelation(NamedTuple):
         (a, b) in A x A product order, whose bit k is set when it holds for the
         k-th pair (c, d) of B x B.
 
-        Built on first use by one ``decider`` call per quadruple and kept in
-        ``side.quad_tables``, one per relation and policy.  It holds ints
-        only, so it references no context.
+        Built on first use by one call of ``side``'s decider per quadruple and
+        kept in ``side.quad_tables``, one per relation and policy.  It holds
+        ints only, so it references no context.
         """
         policy = self.policy or policy
         rows = side.quad_tables.get((self, policy))
@@ -249,7 +247,7 @@ class ArrowRelation(NamedTuple):
             A, B = side.alg_a.universe, side.alg_b.universe
             bits = [(c, d, 1 << k) for k, (c, d) in enumerate(product(B, B))]
             rows = side.quad_tables[self, policy] = tuple(
-                sum(bit for c, d, bit in bits if holds(side, (a, b, c, d)))
+                sum(bit for c, d, bit in bits if holds((a, b, c, d)))
                 for a, b in product(A, A)
             )
         return rows

@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import compress, product, starmap, tee
+from itertools import product
 from typing import NamedTuple
 
 from .algebras import (
@@ -100,9 +100,9 @@ class AxiomSchema:
     ``instances(A, B, S)`` enumerates the element tuples of the statement
     from the universes of A and B and their shared elements S.
     ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
-    counterexample, where ``p`` decides proportions in the (A, B) context
-    ``ab`` and in ``ba = ab.swapped()`` on (B, A), which is ``ab`` itself on
-    one algebra.  A six-variable schema carries a ``join`` instead:
+    counterexample, where ``p(side, q)`` reads q from the table of ``side``:
+    the (A, B) context ``ab`` or ``ba = ab.swapped()`` on (B, A), which is
+    ``ab`` itself on one algebra.  A six-variable schema carries a ``join`` instead:
     ``join(rows, A, B)`` gives the first counterexample of its statement, or
     None, and the instances the short-circuit enumeration of the statement
     evaluates up to it, from the table ``rows`` of the (A, B) side (see
@@ -277,9 +277,9 @@ def check_axiom(
     first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
-    The schema is a query over the table of each side it reads (``ctx`` and
-    ``ctx.swapped()``, one context on one algebra), which decides each
-    quadruple once per context, relation and policy; no verdict is built.
+    The schema is a query over the tables of ``ctx`` and ``ctx.swapped()``, one on
+    one algebra, taken before it enumerates (a join reads only ``ctx``'s): each
+    quadruple is decided once per context, relation and policy; no verdict is built.
     ``instances`` counts the proportion evaluations the short-circuit
     enumeration of the statement makes up to its first counterexample,
     repeats included: a statement counts its reads, a join derives the count.
@@ -298,21 +298,16 @@ def check_axiom(
         ce, instances = schema.join(relation.table(ctx, policy), A, B)
     else:
         ba, instances = ctx.swapped(), 0
-        here, there = _bit(relation, ctx, policy), None
+        here, there = _bit(relation, ctx, policy), _bit(relation, ba, policy)
 
         def p(side: PairContext, q: Quadruple) -> bool:
-            nonlocal instances, there
+            nonlocal instances
             instances += 1
-            if side is ctx:
-                return here(*q)
-            if there is None:
-                there = _bit(relation, side, policy)
-            return there(*q)
+            return (here if side is ctx else there)(*q)
 
-        shared = tuple(e for e in A if e in ctx.alg_b.index)
-        # The first counterexample, found in C without a generator frame per instance.
-        xs, again = tee(schema.instances(A, B, shared))
-        ce = next(compress(xs, starmap(partial(schema.violated, p, ctx, ba), again)), None)
+        violated = partial(schema.violated, p, ctx, ba)
+        tuples = schema.instances(A, B, tuple(e for e in A if e in ctx.alg_b.index))
+        ce = next((xs for xs in tuples if violated(*xs)), None)
     return CheckReport(
         schema=name,
         framework=framework,
@@ -341,7 +336,7 @@ def bundled_algebra_names() -> list[str]:
 def bundled_algebra(name: str) -> FiniteAlgebra:
     path = resources.files("aprop") / "data" / f"{name}.alg"
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise AlgebraSpecError(f"no bundled algebra named {name!r}") from None
     spec = parse_spec_file(text)
@@ -370,7 +365,7 @@ def run_paper_vectors(
         differcount <algebra> <policy> <count>
     """
     if text is None:
-        text = (resources.files("aprop") / "data" / "vectors.txt").read_text()
+        text = (resources.files("aprop") / "data" / "vectors.txt").read_text(encoding="utf-8")
     bounds = bounds if bounds is not None else Bounds()
     contexts: dict[str, PairContext] = {}
 
@@ -391,7 +386,7 @@ def run_paper_vectors(
         if kind == "quad":
             name, framework, policy, a, b, c, d, expected = fields[1:]
             ctx = ctx_for(name)
-            got = _arrows(framework, policy).decider(ctx, policy)(ctx, (a, b, c, d))
+            got = _arrows(framework, policy).decider(ctx, policy)((a, b, c, d))
             actual = "holds" if got else "fails"
             description = f"{name} {framework} {a}:{b} to {c}:{d}"
         elif kind == "axiom":

@@ -141,7 +141,7 @@ def test_sweeps_build_no_verdict(name, monkeypatch):
 
 @pytest.fixture
 def decider_calls(monkeypatch):
-    """The (side, relation sign, policy, quadruple) of every call of a
+    """The (context, relation sign, policy, quadruple) of every call of a
     decider's ``holds``, with the policy the relation decides under."""
     calls = []
     decider = ArrowRelation.decider
@@ -149,9 +149,9 @@ def decider_calls(monkeypatch):
     def traced_decider(self, ctx, policy):
         holds, policy = decider(self, ctx, policy), self.policy or policy
 
-        def traced(side, q):
-            calls.append((id(side), self.sign, policy, q))
-            return holds(side, q)
+        def traced(q):
+            calls.append((id(ctx), self.sign, policy, q))
+            return holds(q)
 
         return traced
 

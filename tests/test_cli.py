@@ -207,6 +207,31 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: class cap 2 exceeded")
 
+    def test_out_of_memory_is_its_own_outcome(self, capsys, monkeypatch):
+        import aprop.cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(aprop.cli, "build_pair_context", exhausted)
+        code, out, err = run(capsys, "check", "A1", "a", "b", "a", "b")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "{path}", "a", "a", "a", "a"], ["iso", "{path}", "swap"]],
+        ids=["check", "iso"],
+    )
+    def test_spec_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.alg"
+        path.write_bytes(b"algebra X { universe: a\xff; }")
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8") and err.count("\n") == 1
+
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import aprop.verify
 

@@ -6,9 +6,14 @@ import pytest
 from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import Bounds, ResourceLimitError, build_pair_context, generate_clone
 from aprop.terms import App, Language, Term, Var, parse_term
+from aprop.verdicts import POLICIES
 from aprop.verify import (
+    AXIOM_SCHEMATA,
+    FRAMEWORKS,
     bundled_algebra,
     bundled_algebra_names,
+    check_axiom,
+    compare_frameworks,
     quotient_homomorphisms,
     random_algebra,
 )
@@ -432,18 +437,22 @@ algebra CG3 {
 """
 
 
+def named_algebra(name: str) -> FiniteAlgebra:
+    """A bundled algebra, ``CG3`` or a generated algebra, by name."""
+    if name in bundled_algebra_names():
+        return bundled_algebra(name)
+    if name == "CG3":
+        return load_algebra(CONSTANTS)[1]
+    return generated_algebra(name)
+
+
 @pytest.mark.parametrize(
     "name, max_vars",
     [(name, 2) for name in bundled_algebra_names()]
     + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1)],
 )
 def test_build_matches_reference(name, max_vars):
-    if name in bundled_algebra_names():
-        alg = bundled_algebra(name)
-    elif name == "CG3":
-        alg = load_algebra(CONSTANTS)[1]
-    else:
-        alg = generated_algebra(name)
+    alg = named_algebra(name)
     ctx = build_pair_context(alg, bounds=Bounds(max_vars=max_vars))
     classes = reference_clone(alg, max_vars)
 
@@ -463,3 +472,28 @@ def test_build_matches_reference(name, max_vars):
         for w, rw, trivial, rel in reference_relations(classes, alg)
     ]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, max_vars",
+    [(name, 2) for name in bundled_algebra_names()] + [("CS3", 1), ("CG3", 1)],
+)
+def test_one_algebra_build_keeps_one_half(name, max_vars):
+    """Built alone, an algebra groups on its own arrows and shares ``rel_a`` as
+    ``rel_b``; built against an equal but distinct copy, it takes the two-half
+    path.  Both builds give the same classes, relation classes and reports."""
+    alg = named_algebra(name)
+    copy = FiniteAlgebra(alg.name, alg.language, alg.universe, alg.tables)
+    bounds = Bounds(max_vars=max_vars)
+    one = build_pair_context(alg, bounds=bounds)
+    two = build_pair_context(alg, copy, bounds)
+    assert two.alg_b is not two.alg_a
+    assert one.clone.classes == two.clone.classes
+    assert one.relations == two.relations  # every field, rel_a and rel_b included
+    assert all(rc.rel_b is rc.rel_a for rc in one.relations)
+    for policy in POLICIES:
+        assert compare_frameworks(one, policy) == compare_frameworks(two, policy)
+        for schema, framework in itertools.product(AXIOM_SCHEMATA, FRAMEWORKS):
+            assert check_axiom(schema, one, framework, policy) == check_axiom(
+                schema, two, framework, policy
+            ), (schema, framework, policy)
