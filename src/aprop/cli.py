@@ -36,8 +36,9 @@ __all__ = ["main"]
 
 
 def _load_spec(path: str):
-    # a missing file raises OSError, which main reports as an input error
-    with open(path, encoding="utf-8") as fh:
+    # a missing file raises OSError, which main reports as an input error;
+    # "utf-8-sig" drops a leading byte-order mark, as some editors save one
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return parse_spec_file(fh.read())
         except UnicodeDecodeError as exc:

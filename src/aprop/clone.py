@@ -156,13 +156,13 @@ def generate_clone(
     while True:
         if bounds.max_depth is not None and depth >= bounds.max_depth:
             break
-        # Each child is (table_a, table_b, occurrence set, witness, depth),
-        # read before this level commits anything.
+        # Each child is (table_a, table_b, occurrence set, witness, depth,
+        # class position), read before this level commits anything.
         frontier_set = set(frontier)
         fresh, old = [], []
-        for key, cls in classes.items():
+        for pos, (key, cls) in enumerate(classes.items()):
             for sup, term in cls.witnesses.items():
-                item = (key[0], key[1], sup, term, term.depth())
+                item = (key[0], key[1], sup, term, term.depth(), pos)
                 (fresh if (key, sup) in frontier_set else old).append(item)
         every = old + fresh
         candidates = []
@@ -172,27 +172,36 @@ def generate_clone(
                 continue
             op_a = alg_a.tables[sym].__getitem__
             op_b = alg_b.tables[sym].__getitem__
+            # A combination's tables depend only on its children's classes:
+            # the op is applied once per tuple of class positions.
+            made: dict[tuple[int, ...], tuple] = {}
             # Every combination with a fresh child, once: the first fresh
             # child sits at position p, only old children come before it.
             for p in range(rank):
                 pools = [old] * p + [fresh] + [every] * (rank - p - 1)
                 for combo in itertools.product(*pools):
-                    tables_a, tables_b, sups, children, depths = zip(*combo)
-                    table_a = tuple(map(op_a, zip(*tables_a)))
-                    table_b = table_a if same else tuple(map(op_b, zip(*tables_b)))
+                    tables_a, tables_b, sups, children, depths, positions = zip(*combo)
+                    found = made.get(positions)
+                    if found is None:
+                        table_a = tuple(map(op_a, zip(*tables_a)))
+                        table_b = table_a if same else tuple(map(op_b, zip(*tables_b)))
+                        key = (table_a, table_b)
+                        cls = classes.get(key)
+                        if cls is None:
+                            new_keys.add(key)
+                            if len(classes) + len(new_keys) > bounds.class_cap:
+                                raise exceeded(depth + 1)
+                        else:  # keep the class's own tables, not this copy
+                            key = cls.table_a, cls.table_b
+                        found = made[positions] = (key, cls)
+                    key, cls = found
                     support = frozenset().union(*sups)
-                    key = (table_a, table_b)
-                    cls = classes.get(key)
-                    if cls is None:
-                        new_keys.add(key)
-                        if len(classes) + len(new_keys) > bounds.class_cap:
-                            raise exceeded(depth + 1)
-                    else:
+                    if cls is not None:
                         # A deeper term never replaces a known witness.
                         known = cls.witnesses.get(support)
                         if known is not None and known.depth() <= max(depths):
                             continue
-                    candidates.append((App(sym, children), table_a, table_b, support))
+                    candidates.append((App(sym, children), *key, support))
         depth += 1
         # deterministic commit order: smallest witness first (keys are unique)
         candidates.sort(key=lambda c: c[0].key)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
 from .terms import Term
-from .verdicts import CompetitorPolicy, ProportionVerdict, check_policy
+from .verdicts import CompetitorPolicy, ProportionVerdict, _decide, check_policy
 
 __all__ = [
     "lesssim",
@@ -35,10 +35,12 @@ def lesssim(
         raise KeyError(f"unknown element {a!r}")
     if b not in ctx.alg_b.index:
         raise KeyError(f"unknown element {b!r}")
-    classes = ctx.clone.classes
+    classes, universe = ctx.clone.classes, ctx.alg_b.universe
+    left, right = ctx.elem_up_masks[a], ctx.swapped().elem_up_masks
+    skip = a if policy == "literal" else None
     return ProportionVerdict.of_maximality(
-        ctx.elem_up_masks[a], ctx.swapped().elem_up_masks, b, ctx.alg_b.universe, str,
-        lambda i: classes[i].witness, ctx, policy, a if policy == "literal" else None,
+        left, right, b, universe, str, lambda i: classes[i].witness, ctx, policy, skip,
+        _decide(left, right, universe, skip)[ctx.alg_b.index[b]],
     )
 
 

@@ -1,13 +1,15 @@
 """Decision certificates returned by similarity and proportion queries.
 
 Every directed comparison goes through one maximality kernel over int
-bitmask id sets, which returns a small code: (reason, lowest shared id or
--1, position of the dominating competitor or -1).  Arrow codes are memoized
-per context (a one-algebra context is its own mirror), in one dict per arrow
-relation and policy keyed by the four elements of the compared arrows; a
-``ProportionVerdict`` is built from codes only when one is asked for.  The
-sweeps read a relation's quadruples from its table on a context side: one
-int bitmask per row (a, b), decided once from the codes.
+bitmask id sets.  It decides a whole competitor row at once: for a left id
+set, the small code of every competitor as a target, each being (reason,
+lowest shared id or -1, position of the dominating competitor or -1).
+Arrow codes are memoized per context (a one-algebra context is its own
+mirror) a row at a time, in one dict per arrow relation and policy keyed by
+the four elements of the compared arrows; a ``ProportionVerdict`` is built
+from codes only when one is asked for.  The sweeps read a relation's
+quadruples from its table on a context side: one int bitmask per row
+(a, b), decided once from the codes.
 """
 
 from __future__ import annotations
@@ -46,26 +48,39 @@ def _base(ctx, policy: str) -> dict:
     )
 
 
-def _decide(left: int, right: dict, target, competitors, skip) -> tuple[str, int, int]:
-    """The code of ``target``'s share ``left & right[target]``: the maximality kernel.
+def _decide(left: int, right: dict, competitors, skip) -> list[tuple[str, int, int]]:
+    """The code of every competitor's share ``left & right[e]``, in order: the
+    maximality kernel, run once per competitor row.
 
-    ``target`` is dominated by the first competitor ``e`` (``skip`` excluded)
-    whose share ``left & right[e]`` is a strict superset.  Id sets are int
-    masks, so the lowest set bit is the least shared id.
+    Each share is computed once and each distinct share coded once.  A share
+    is dominated by the first competitor (``skip`` excluded) whose share is a
+    strict superset of it.  Id sets are int masks, so the lowest set bit is
+    the least shared id.  An empty share is all-trivial when ``left`` and
+    ``right[e]`` are both empty.
     """
-    right_ids = right[target]
-    if not left and not right_ids:
-        return ALL_TRIVIAL
-    shared = left & right_ids
-    if not shared:
-        return EMPTY_INTERSECTION
-    low = (shared & -shared).bit_length() - 1
-    for pos, e in enumerate(competitors):
-        if e != skip:
-            ids = right[e]
-            if ids & shared == shared and left & ids != shared:
-                return ("dominated", low, pos)
-    return ("maximal", low, -1)
+    shares = [left & right[e] for e in competitors]
+    # Only the first competitor with a given share can be a first dominator.
+    rivals: dict[int, int] = {}
+    for pos, (e, shared) in enumerate(zip(competitors, shares)):
+        if shared and e != skip:
+            rivals.setdefault(shared, pos)
+    coded: dict[int, tuple[str, int, int]] = {}
+    row = []
+    for e, shared in zip(competitors, shares):
+        if not shared:
+            row.append(EMPTY_INTERSECTION if left or right[e] else ALL_TRIVIAL)
+            continue
+        code = coded.get(shared)
+        if code is None:
+            low = (shared & -shared).bit_length() - 1
+            code = ("maximal", low, -1)
+            for ids, pos in rivals.items():
+                if ids & shared == shared and ids != shared:
+                    code = ("dominated", low, pos)
+                    break
+            coded[shared] = code
+        row.append(code)
+    return row
 
 
 @dataclass(frozen=True)
@@ -94,18 +109,17 @@ class ProportionVerdict:
 
     @classmethod
     def of_maximality(
-        cls, left, right, target, competitors, label, witness, ctx, policy, skip=None,
-        code=None,
+        cls, left, right, target, competitors, label, witness, ctx, policy, skip, code,
     ) -> ProportionVerdict:
         """Whether ``target`` keeps a maximal share ``left & right[target]``.
 
-        ``left`` and the values of ``right`` are bitmask id sets.  The kernel
-        decides the code unless it is given.  Each competitor scanned up to
-        the dominating one (``skip`` excluded) is recorded as
-        ``label(e):sub`` or ``label(e):nosub``; ``str(witness(id))`` of the
-        least shared id is the witness.
+        ``left`` and the values of ``right`` are bitmask id sets; ``code`` is
+        ``target``'s entry of the kernel's row over ``competitors``.  Each
+        competitor scanned up to the dominating one (``skip`` excluded) is
+        recorded as ``label(e):sub`` or ``label(e):nosub``;
+        ``str(witness(id))`` of the least shared id is the witness.
         """
-        reason, low, pos = code or _decide(left, right, target, competitors, skip)
+        reason, low, pos = code
         if low < 0:
             return cls(reason == "all-trivial", reason, **_base(ctx, policy))
         shared = left & right[target]
@@ -164,9 +178,9 @@ class ArrowRelation(NamedTuple):
     """A directed arrow relation ``ar1 <sign> ar2``, decided by the kernel.
 
     ``operands(ar1, ar2, side, policy)`` gives the kernel's left id set, the
-    right-hand index (both as int masks), the competitors of ``ar2`` as
-    a re-iterable sequence and the competitor to skip, or None.  ``label``
-    names a competitor arrow.  ``policy`` is the competitor policy every
+    right-hand index (both as int masks), the competitors of ``ar2`` (``ar2``
+    among them) as a re-iterable sequence and the competitor to skip, or
+    None.  ``label`` names a competitor arrow.  ``policy`` is the competitor policy every
     verdict of the relation reports, or None when the caller's applies.
     """
 
@@ -188,12 +202,19 @@ class ArrowRelation(NamedTuple):
         return memo
 
     def code(self, ar1, ar2, side, policy) -> tuple[str, int, int]:
-        """The code of ar1 <sign> ar2 on ``side``, decided once per context and policy."""
-        codes, key = self.memo(side, policy), ar1 + ar2
-        code = codes.get(key)
+        """The code of ar1 <sign> ar2 on ``side``, decided once per context and policy.
+
+        On a miss the kernel decides the whole row of ``ar1`` against every
+        competitor of ``ar2`` (each competitor is a target of the same row),
+        and the memo keeps every code of it.
+        """
+        codes = self.memo(side, policy)
+        code = codes.get(ar1 + ar2)
         if code is None:
             left, right, competitors, skip = self.operands(ar1, ar2, side, policy)
-            code = codes[key] = _decide(left, right, ar2, competitors, skip)
+            for e, found in zip(competitors, _decide(left, right, competitors, skip)):
+                codes[ar1 + e] = found
+            code = codes[ar1 + ar2]
         return code
 
     def verdict(self, ar1, ar2, ctx, policy) -> ProportionVerdict:

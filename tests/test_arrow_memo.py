@@ -84,6 +84,20 @@ def test_each_arrow_verdict_is_decided_once(name, kernel_runs):
 
 
 @pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
+def test_each_competitor_row_is_decided_once(name, kernel_runs):
+    """One kernel run decides a whole row: every arrow of B for a given ar1
+    under <~, every c -> d' with c fixed under :., so a sweep runs the kernel
+    at most once per ar1, or per (ar1, c)."""
+    ctx = context(name)
+    sweep(ctx)
+    A, B = len(ctx.alg_a.universe), len(ctx.alg_b.universe)
+    per_table = Counter(run[:3] for run in kernel_runs)
+    assert {sign for _, sign, _ in per_table} == {"<~", ":."}
+    for (_, sign, _), runs in per_table.items():
+        assert runs <= (A * A if sign == "<~" else A * A * B)
+
+
+@pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
 def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
     warm, fresh = context(name), context(name)
     u = warm.alg_a.universe

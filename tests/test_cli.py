@@ -232,6 +232,25 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"error: {path} is not UTF-8") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "{path}", "a", "c", "a", "c"], ["iso", "{path}", "swap"]],
+        ids=["check", "iso"],
+    )
+    def test_spec_with_a_byte_order_mark_reads_as_without(self, capsys, tmp_path, argv):
+        spec = (
+            "algebra S { universe: a, c, d; op f/1: a -> a, c -> d, d -> c; }\n"
+            "mapping swap : S -> S { a -> a, c -> d, d -> c }\n"
+        ).encode()
+        outcomes = []
+        for name, data in (("plain.alg", spec), ("bom.alg", b"\xef\xbb\xbf" + spec)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, out, _ = run(capsys, *(arg.format(path=path) for arg in argv))
+            outcomes.append((code, out))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import aprop.verify
 

@@ -174,6 +174,47 @@ class TestBinaryOperation:
                 assert composed in tables
 
 
+class CountingTable(dict):
+    """An op table that records each argument tuple it is asked for."""
+
+    def __init__(self, symbol, table, asked):
+        super().__init__(table)
+        self.symbol, self.asked = symbol, asked
+
+    def __getitem__(self, args):
+        self.asked.append((self.symbol, args))
+        return super().__getitem__(args)
+
+
+def test_op_is_applied_once_per_child_class_tuple_per_level():
+    """A combination's tables depend on its children's classes only, not on
+    their occurrence sets: each level applies a symbol at most once per tuple
+    of child classes.  A one-algebra build computes one table per application,
+    |U|^v lookups whose argument columns are the child classes' tables."""
+    alg = generated_algebra("Z3")
+    asked = []
+    counting = FiniteAlgebra(
+        alg.name, alg.language, alg.universe,
+        {sym: CountingTable(sym, table, asked) for sym, table in alg.tables.items()},
+    )
+    width = len(alg.universe) ** 2
+    earlier = 0
+    for depth in itertools.count(1):
+        asked.clear()
+        result = generate_clone(counting, bounds=Bounds(max_vars=2, max_depth=depth))
+        assert len(asked) % width == 0
+        applied = [
+            (asked[i][0], tuple(zip(*(args for _, args in asked[i:i + width]))))
+            for i in range(0, len(asked), width)
+        ]
+        level = applied[earlier:]  # earlier levels repeat the shallower build's lookups
+        assert level
+        assert len(level) == len(set(level))
+        earlier = len(applied)
+        if result.saturated:
+            break
+
+
 class TestRelationClasses:
     def test_diagonal_pair(self, contexts):
         ctx = contexts("A1")
