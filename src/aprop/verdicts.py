@@ -201,17 +201,18 @@ class ArrowRelation(NamedTuple):
             memo = side.arrow_codes[self, policy] = {}
         return memo
 
-    def code(self, ar1, ar2, side, policy) -> tuple[str, int, int]:
+    def code(self, ar1, ar2, side, policy, operands=None) -> tuple[str, int, int]:
         """The code of ar1 <sign> ar2 on ``side``, decided once per context and policy.
 
         On a miss the kernel decides the whole row of ``ar1`` against every
         competitor of ``ar2`` (each competitor is a target of the same row),
-        and the memo keeps every code of it.
+        and the memo keeps every code of it.  ``operands``, when given, are
+        those of ``self.operands(ar1, ar2, side, policy)``.
         """
         codes = self.memo(side, policy)
         code = codes.get(ar1 + ar2)
         if code is None:
-            left, right, competitors, skip = self.operands(ar1, ar2, side, policy)
+            left, right, competitors, skip = operands or self.operands(ar1, ar2, side, policy)
             for e, found in zip(competitors, _decide(left, right, competitors, skip)):
                 codes[ar1 + e] = found
             code = codes[ar1 + ar2]
@@ -220,10 +221,10 @@ class ArrowRelation(NamedTuple):
     def verdict(self, ar1, ar2, ctx, policy) -> ProportionVerdict:
         """The verdict of ar1 <sign> ar2 on ``ctx``, its comparisons rebuilt from the code."""
         policy = self.policy or policy
-        left, right, competitors, skip = self.operands(ar1, ar2, ctx, policy)
+        left, right, competitors, skip = operands = self.operands(ar1, ar2, ctx, policy)
         return ProportionVerdict.of_maximality(
             left, right, ar2, competitors, self.label, ctx.relations.__getitem__,
-            ctx, policy, skip, self.code(ar1, ar2, ctx, policy),
+            ctx, policy, skip, self.code(ar1, ar2, ctx, policy, operands),
         )
 
     def decider(self, ctx, policy) -> Callable[[tuple], bool]:

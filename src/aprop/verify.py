@@ -2,8 +2,8 @@
 
 The twelve axiom schemata are checked as queries over the proportion
 relation of each context side, decided once as a table: the schemata of at
-most four variables by their statement, read bit by bit, and the two
-six-variable transitivity schemata by joins of its rows.  Cross-universe
+most three variables by their statement, read bit by bit, and the four- and
+six-variable schemata by joins of its rows.  Cross-universe
 membership conditions (a in A intersect B and the like) match elements by
 name.  Vector files pin expected verdicts for the bundled algebras; a
 mismatch is reported, never silently adjusted.
@@ -96,18 +96,20 @@ FRAMEWORKS: dict[str, Framework] = {
 class AxiomSchema:
     """One of the twelve proportional axioms, stated in full.
 
-    A schema of at most four variables carries its statement.
+    A schema of at most three variables carries its statement.
     ``instances(A, B, S)`` enumerates the element tuples of the statement
     from the universes of A and B and their shared elements S.
     ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
     counterexample, where ``p(side, q)`` reads q from the table of ``side``:
     the (A, B) context ``ab`` or ``ba = ab.swapped()`` on (B, A), which is
-    ``ab`` itself on one algebra.  A six-variable schema carries a ``join`` instead:
-    ``join(rows, A, B)`` gives the first counterexample of its statement, or
-    None, and the instances the short-circuit enumeration of the statement
-    evaluates up to it, from the table ``rows`` of the (A, B) side (see
-    ``ArrowRelation.table``).  Schemata over one or three algebras are read
-    with A = B (and C = B).
+    ``ab`` itself on one algebra.  A schema of four or six variables carries a
+    ``join`` instead: ``join(rows, A, B, mirror=None)`` gives the first
+    counterexample of its statement, or None, and the instances the
+    short-circuit enumeration of the statement evaluates up to it, from the
+    table ``rows`` of the (A, B) side (see ``ArrowRelation.table``).  Only
+    p-symmetry's join reads ``mirror``, the table of the (B, A) side, which
+    is ``rows`` when None (one algebra).  Schemata over one or three algebras
+    are read with A = B (and C = B).
     """
 
     name: str
@@ -115,6 +117,66 @@ class AxiomSchema:
     instances: Callable[..., Iterable[tuple[Element, ...]]] | None = None
     violated: Callable[..., bool] | None = None
     join: Callable[..., tuple[tuple[Element, ...] | None, int]] | None = None
+
+
+def _ones(mask: int):
+    """The positions of the set bits of ``mask``, least first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _first_difference(rows, partners, A, B):
+    """The first (a, b, c, d) of ``product(A, A, B, B)`` whose bit differs
+    between ``rows[a, b]`` and ``partners[a, b]``, or None: the counterexample
+    of a statement p(q) != p(q'), which reads 2 proportions per instance up
+    to it.  ``partners`` may be lazy; it is read up to the counterexample."""
+    width = len(B) ** 2
+    for ab, (row, partner) in enumerate(zip(rows, partners)):
+        differ = row ^ partner
+        if differ:
+            cd = (differ & -differ).bit_length() - 1
+            (a, b), (c, d) = divmod(ab, len(A)), divmod(cd, len(B))
+            return (A[a], A[b], B[c], B[d]), 2 * (ab * width + cd + 1)
+    return None, 2 * len(rows) * width
+
+
+def _symmetry_join(rows, A, B, mirror=None):
+    """p-symmetry, a:b ~ c:d on (A, B) unlike c:d ~ a:b on (B, A), in the
+    order of ``product(A, A, B, B)``: ``rows`` against the transpose of the
+    mirror side's table ``mirror``, which is ``rows`` on one algebra."""
+    columns = [0] * len(rows)
+    for cd, row in enumerate(rows if mirror is None else mirror):
+        for ab in _ones(row):
+            columns[ab] |= 1 << cd
+    return _first_difference(rows, columns, A, B)
+
+
+def _inner_symmetry_join(rows, A, B, mirror=None):
+    """inner-p-symmetry, a:b ~ c:d unlike b:a ~ d:c, in the order of
+    ``product(A, A, B, B)``: each row against that of (b, a) with the bits
+    of (c, d) and (d, c) exchanged."""
+    nA, nB = len(A), len(B)
+    flip = [1 << d * nB + c for c, d in product(range(nB), repeat=2)]
+    partners = (
+        sum(flip[dc] for dc in _ones(rows[b * nA + a]))
+        for a, b in product(range(nA), repeat=2)
+    )
+    return _first_difference(rows, partners, A, B)
+
+
+def _central_permutation_join(rows, A, B, mirror=None):
+    """central-permutation, a:b ~ c:d unlike a:c ~ b:d, in the order of
+    ``product(A, A, A, A)``: row (a, b) holds the d of (a, b, c, d) in its
+    slice c of n bits, set against slice b of row (a, c)."""
+    n = len(A)
+    mask = (1 << n) - 1
+    partners = (
+        sum((rows[a * n + c] >> b * n & mask) << c * n for c in range(n))
+        for a, b in product(range(n), repeat=2)
+    )
+    return _first_difference(rows, partners, A, B)
 
 
 def _reads_to(cd: int, width: int, second: int, f: int) -> int:
@@ -125,7 +187,7 @@ def _reads_to(cd: int, width: int, second: int, f: int) -> int:
     return cd * width + 2 * (f + 1) + (second & ((2 << f) - 1)).bit_count()
 
 
-def _transitivity_join(rows, A, B):
+def _transitivity_join(rows, A, B, mirror=None):
     """p-transitivity, (a:b, c:d) and (c:d, e:f) in the relation but not
     (a:b, e:f), in the order of ``product(A, A, B, B, B, B)``.
 
@@ -135,11 +197,7 @@ def _transitivity_join(rows, A, B):
     """
     pairs, instances = len(rows), 0
     for ab, row in enumerate(rows):
-        rest = row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cd = low.bit_length() - 1
+        for cd in _ones(row):
             second = rows[cd]
             bad = second & ~row
             if bad:
@@ -153,7 +211,7 @@ def _transitivity_join(rows, A, B):
     return None, instances
 
 
-def _inner_transitivity_join(rows, A, B):
+def _inner_transitivity_join(rows, A, B, mirror=None):
     """inner-p-transitivity, a:b ~ c:d and b:e ~ d:f but not a:e ~ c:f, in the
     order of ``product(A, A, A, B, B, B)`` over (a, b, e, c, d, f).
 
@@ -166,11 +224,8 @@ def _inner_transitivity_join(rows, A, B):
     mask = (1 << nB) - 1
     slices = [[row >> x * nB & mask for x in range(nB)] for row in rows]
     for a, b, e in product(range(nA), repeat=3):
-        rest, seconds, thirds = rows[a * nA + b], slices[b * nA + e], slices[a * nA + e]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cd = low.bit_length() - 1
+        seconds, thirds = slices[b * nA + e], slices[a * nA + e]
+        for cd in _ones(rows[a * nA + b]):
             c, d = divmod(cd, nB)
             second = seconds[d]
             bad = second & ~thirds[c]
@@ -184,6 +239,32 @@ def _inner_transitivity_join(rows, A, B):
     return None, instances
 
 
+def _central_transitivity_join(rows, A, B, mirror=None):
+    """central-p-transitivity, a:b ~ b:c and b:c ~ c:d but not a:b ~ c:d, in
+    the order of ``product(A, A, A, A)``.
+
+    A block (a, b, c) over d reads its n instances' p1 alone when a:b ~ b:c
+    fails; else each d with slice c of ``rows[b, c]`` and not slice c of
+    ``rows[a, b]`` violates it, the least first.
+    """
+    n, instances = len(A), 0
+    mask = (1 << n) - 1
+    for a, b in product(range(n), repeat=2):
+        row = rows[a * n + b]
+        firsts = row >> b * n & mask
+        for c in range(n):
+            if not firsts >> c & 1:
+                instances += n
+                continue
+            second = rows[b * n + c] >> c * n & mask
+            bad = second & ~(row >> c * n)
+            if bad:
+                d = (bad & -bad).bit_length() - 1
+                return (A[a], A[b], A[c], B[d]), instances + _reads_to(0, n, second, d)
+            instances += 2 * n + second.bit_count()
+    return None, instances
+
+
 AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
     s.name: s
     for s in (
@@ -191,14 +272,8 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
             "p-reflexivity", 1, lambda A, B, S: product(A, repeat=2),
             lambda p, ab, ba, a, b: not p(ab, (a, b, a, b)),
         ),
-        AxiomSchema(
-            "p-symmetry", 2, lambda A, B, S: product(A, A, B, B),
-            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ba, (c, d, a, b)),
-        ),
-        AxiomSchema(
-            "inner-p-symmetry", 2, lambda A, B, S: product(A, A, B, B),
-            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ab, (b, a, d, c)),
-        ),
+        AxiomSchema("p-symmetry", 2, join=_symmetry_join),
+        AxiomSchema("inner-p-symmetry", 2, join=_inner_symmetry_join),
         AxiomSchema(
             "p-determinism", 1, lambda A, B, S: product(A, repeat=2),
             lambda p, ab, ba, a, d: p(ab, (a, a, a, d)) != (d == a),
@@ -207,10 +282,7 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
             "inner-p-reflexivity", 2, lambda A, B, S: product(A, B),
             lambda p, ab, ba, a, c: not p(ab, (a, a, c, c)),
         ),
-        AxiomSchema(
-            "central-permutation", 1, lambda A, B, S: product(A, repeat=4),
-            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, c, d)) != p(ab, (a, c, b, d)),
-        ),
+        AxiomSchema("central-permutation", 1, join=_central_permutation_join),
         AxiomSchema(
             "strong-inner-p-reflexivity", 1, lambda A, B, S: product(A, repeat=3),
             lambda p, ab, ba, a, c, d: d != c and p(ab, (a, a, c, d)),
@@ -226,11 +298,7 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
         AxiomSchema("p-transitivity", 3, join=_transitivity_join),
         # enumerated in the order (a, b, e, c, d, f), reported as (a, ..., f)
         AxiomSchema("inner-p-transitivity", 2, join=_inner_transitivity_join),
-        AxiomSchema(
-            "central-p-transitivity", 3, lambda A, B, S: product(A, S, S, B),
-            lambda p, ab, ba, a, b, c, d: p(ab, (a, b, b, c))
-            and p(ab, (b, c, c, d)) and not p(ab, (a, b, c, d)),
-        ),
+        AxiomSchema("central-p-transitivity", 3, join=_central_transitivity_join),
     )
 }
 
@@ -278,8 +346,8 @@ def check_axiom(
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
     The schema is a query over the tables of ``ctx`` and ``ctx.swapped()``, one on
-    one algebra, taken before it enumerates (a join reads only ``ctx``'s): each
-    quadruple is decided once per context, relation and policy; no verdict is built.
+    one algebra, taken before it enumerates or joins: each quadruple is decided
+    once per context, relation and policy; no verdict is built.
     ``instances`` counts the proportion evaluations the short-circuit
     enumeration of the statement makes up to its first counterexample,
     repeats included: a statement counts its reads, a join derives the count.
@@ -295,7 +363,9 @@ def check_axiom(
         )
     relation = _arrows(framework, policy)
     if schema.join is not None:
-        ce, instances = schema.join(relation.table(ctx, policy), A, B)
+        ce, instances = schema.join(
+            relation.table(ctx, policy), A, B, relation.table(ctx.swapped(), policy)
+        )
     else:
         ba, instances = ctx.swapped(), 0
         here, there = _bit(relation, ctx, policy), _bit(relation, ba, policy)
@@ -418,12 +488,8 @@ def compare_frameworks(
     pairs = list(product(ctx.alg_b.universe, repeat=2))
     out = []
     for (a, b), s, r in zip(product(ctx.alg_a.universe, repeat=2), sim, rw):
-        differ = s ^ r
-        while differ:
-            low = differ & -differ
-            differ ^= low
-            c, d = pairs[low.bit_length() - 1]
-            out.append(((a, b, c, d), s & low != 0, r & low != 0))
+        for k in _ones(s ^ r):
+            out.append(((a, b, *pairs[k]), s >> k & 1 == 1, r >> k & 1 == 1))
     return out
 
 

@@ -97,6 +97,26 @@ def test_each_competitor_row_is_decided_once(name, kernel_runs):
         assert runs <= (A * A if sign == "<~" else A * A * B)
 
 
+def test_an_arrow_verdict_builds_its_operands_once(monkeypatch):
+    """A verdict builds the kernel's operands once, whether its code is
+    decided on the way (cold memo) or read from the memo (warm)."""
+    calls, rw = [], arrow_proportion_rw.__globals__["RW"]
+
+    def counted(*args):
+        calls.append(args)
+        return rw.operands(*args)
+
+    monkeypatch.setitem(arrow_proportion_rw.__globals__, "RW", rw._replace(operands=counted))
+    ctx = context("PTRANS")
+    a, b, c = ctx.alg_a.universe[:3]
+    for memo in ("cold", "warm"):
+        calls.clear()
+        assert arrow_proportion_rw((a, b), (c, a), ctx) == rw.verdict(
+            (a, b), (c, a), context("PTRANS"), "d-only"
+        )
+        assert len(calls) == 1, memo
+
+
 @pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
 def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
     warm, fresh = context(name), context(name)
