@@ -146,28 +146,30 @@ def term_table(
 ) -> tuple[Element, ...]:
     """The value table of t over assignments to ``variables``, in product order.
 
-    Computed bottom-up: each variable reads its projection column, and each
-    application is one mapped lookup into its op table over the zipped
-    tables of its children.
+    Computed bottom-up by ``_table``: each variable reads its projection
+    column, and each application is one mapped lookup into its op table over
+    the zipped tables of its children.
     """
     if len(variables) == 1:  # the one column of the product order is the universe
         columns = {variables[0]: alg.universe}
     else:
         columns = dict(zip(variables, zip(*itertools.product(alg.universe, repeat=len(variables)))))
-    size = len(alg.universe) ** len(variables)
+    return _table(t, alg.tables, columns, len(alg.universe) ** len(variables))
 
-    def table(u: Term) -> tuple[Element, ...]:
-        if isinstance(u, Var):
-            try:
-                return columns[u.index]
-            except KeyError:
-                raise KeyError(f"unassigned variable x{u.index}") from None
-        op = alg.tables[u.symbol]
-        if not u.children:
-            return (op[()],) * size
-        return tuple(map(op.__getitem__, zip(*map(table, u.children))))
 
-    return table(t)
+def _table(u: Term, tables: dict, columns: dict, size: int) -> tuple[Element, ...]:
+    """The value table of u, its variables read from ``columns``, ``size`` rows long."""
+    if u.__class__ is Var:
+        try:
+            return columns[u.index]
+        except KeyError:
+            raise KeyError(f"unassigned variable x{u.index}") from None
+    op, children = tables[u.symbol], u.children
+    if len(children) == 1:
+        return tuple(map(op.__getitem__, zip(_table(children[0], tables, columns, size))))
+    if not children:
+        return (op[()],) * size
+    return tuple(map(op.__getitem__, zip(*[_table(c, tables, columns, size) for c in children])))
 
 
 def solution_set(

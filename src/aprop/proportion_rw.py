@@ -52,9 +52,9 @@ def proportion_rw(
     return ProportionVerdict.of_conjuncts(RW, (a, b, c, d), ctx, "d-only")
 
 
-def _tables(rule: RewriteRule, alg: FiniteAlgebra, variables: tuple[int, ...]) -> tuple:
+def _tables(s: Term, t: Term, alg: FiniteAlgebra, variables: tuple[int, ...]) -> tuple:
     """For the rule s ->> t, the value tables of s and t over ``variables``."""
-    return term_table(rule.lhs, alg, variables), term_table(rule.rhs, alg, variables)
+    return term_table(s, alg, variables), term_table(t, alg, variables)
 
 
 def rule_in_jus(
@@ -64,7 +64,7 @@ def rule_in_jus(
 ) -> bool:
     """Direct membership of s ->> t in Jus(a -> b): one assignment sends s to a, t to b."""
     a, b = ar
-    return (a, b) in zip(*_tables(rule, alg, rule.lhs.variables()))
+    return (a, b) in zip(*_tables(rule.lhs, rule.rhs, alg, rule.lhs.variables()))
 
 
 def jus_membership_via_solutions(
@@ -82,15 +82,16 @@ def jus_membership_via_solutions(
     Both solution sets are taken over the variable tuple of s; since every
     variable of t occurs in s, t simply ignores the unused coordinates.
     """
-    rule = RewriteRule(s, t)  # validates the variable-containment condition
     variables = s.variables()
+    if not set(t.variables()) <= set(variables):
+        raise ValueError(f"not a rewrite rule: {s} ->> {t}")
 
     def solutions(table: tuple, e: Element) -> set[int]:
         # each assignment with value e, by its rank in the table's product order
         return {i for i, v in enumerate(table) if v == e}
 
-    s_a, t_a = _tables(rule, alg_a, variables)
-    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(rule, alg_b, variables)
+    s_a, t_a = _tables(s, t, alg_a, variables)
+    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(s, t, alg_b, variables)
     in_a = bool(solutions(s_a, a) & solutions(t_a, b))
     in_b = bool(solutions(s_b, c) & solutions(t_b, d))
     return in_a and in_b
@@ -104,10 +105,10 @@ def is_characteristic_r_justification_set(
     alg_b: FiniteAlgebra,
 ) -> bool:
     """Whether the rule set pins d uniquely while c stays fixed."""
-    rels_a = [set(zip(*_tables(r, alg_a, r.lhs.variables()))) for r in rules]
+    rels_a = [set(zip(*_tables(r.lhs, r.rhs, alg_a, r.lhs.variables()))) for r in rules]
     rels_b = (
         rels_a if alg_b is alg_a
-        else [set(zip(*_tables(r, alg_b, r.lhs.variables()))) for r in rules]
+        else [set(zip(*_tables(r.lhs, r.rhs, alg_b, r.lhs.variables()))) for r in rules]
     )
     if not all(ar1 in ra and ar2 in rb for ra, rb in zip(rels_a, rels_b)):
         return False
@@ -147,18 +148,22 @@ def uniqueness_lemma_check(
 ) -> UniquenessReport:
     """Evaluate both implications of the uniqueness result on one instance.
 
-    A reported violation would indicate a framework bug, not a property of
-    the inputs.
+    The member and premise fields read the value tables of s and t, built for
+    this call; ``conclusion_arrow`` reads the memo of ``RW.code`` and
+    ``conclusion_full`` one bit of ``RW.table(ctx, "d-only")``, row (a, b)
+    and column (c, d), through ``RW.bit``.  A reported violation would indicate a framework bug,
+    not a property of the inputs.
     """
     alg_a, alg_b = ctx.alg_a, ctx.alg_b
-    variables = rule.lhs.variables()
-    s_a, t_a = _tables(rule, alg_a, variables)
-    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(rule, alg_b, variables)
+    s, t = rule.lhs, rule.rhs
+    variables = s.variables()
+    s_a, t_a = _tables(s, t, alg_a, variables)
+    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(s, t, alg_b, variables)
     member = (a, b) in zip(s_a, t_a) and (c, d) in zip(s_b, t_b)
     # e = u(x) has one solution over u's own variables exactly when e fills
     # |U|^free cells of u's table over the variables of s, where free counts
     # the variables of s that u lacks (none when u is s)
-    free = len(variables) - len(rule.rhs.variables())
+    free = len(variables) - len(t.variables())
 
     def unique(table: tuple, e: Element, alg: FiniteAlgebra, extra: int) -> bool:
         return table.count(e) == len(alg.universe) ** extra
@@ -171,9 +176,10 @@ def uniqueness_lemma_check(
         and unique(s_b, c, alg_b, 0)
         and unique(t_b, d, alg_b, free)
     )
-    # read from the memo of arrow codes, without building verdicts
+    # the arrow conclusion from the memo of arrow codes, the full one as one
+    # bit of the decided quadruple table; neither builds a verdict
     conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING
-    conclusion_full = RW.decider(ctx, "d-only")((a, b, c, d))
+    conclusion_full = RW.bit(ctx, "d-only")(a, b, c, d)
     return UniquenessReport(
         rule=str(rule),
         quadruple=(a, b, c, d),

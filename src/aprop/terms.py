@@ -68,20 +68,22 @@ class Term:
 
     def variables(self) -> tuple[int, ...]:
         """Variable indices in first-occurrence order."""
-        seen: list[int] = []
-        _collect_vars(self, seen)
-        return tuple(seen)
+        return self._variables
 
     @property
     def rank(self) -> int:
         return len(self.variables())
 
-    # The ordering key (depth, string) is computed once per node from the
-    # children's keys and kept in the instance dict, outside the dataclass
-    # fields, so it takes no part in ==, hash or repr.
+    # The ordering key (depth, string) and the variables are computed once per
+    # node from the children's, on first read, and kept in the instance dict,
+    # outside the dataclass fields, so they take no part in ==, hash or repr.
     @cached_property
     def key(self) -> tuple[int, str]:
         """(depth, string): terms are ordered smallest key first."""
+        raise NotImplementedError
+
+    @cached_property
+    def _variables(self) -> tuple[int, ...]:
         raise NotImplementedError
 
     def depth(self) -> int:
@@ -103,6 +105,10 @@ class Var(Term):
     def key(self) -> tuple[int, str]:
         return (0, f"x{self.index}")
 
+    @cached_property
+    def _variables(self) -> tuple[int, ...]:
+        return (self.index,)
+
 
 @dataclass(frozen=True)
 class App(Term):
@@ -119,14 +125,11 @@ class App(Term):
             f"{self.symbol}({','.join(k[1] for k in keys)})",
         )
 
-
-def _collect_vars(t: Term, seen: list[int]) -> None:
-    if isinstance(t, Var):
-        if t.index not in seen:
-            seen.append(t.index)
-    else:
-        for c in t.children:
-            _collect_vars(c, seen)
+    @cached_property
+    def _variables(self) -> tuple[int, ...]:
+        if len(self.children) == 1:
+            return self.children[0]._variables
+        return tuple(dict.fromkeys(i for c in self.children for i in c._variables))
 
 
 @dataclass(frozen=True)

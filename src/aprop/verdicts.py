@@ -253,6 +253,13 @@ class ArrowRelation(NamedTuple):
 
         return holds
 
+    def bit(self, side, policy) -> Callable[..., bool]:
+        """``bit(a, b, c, d)``: whether a:b <sign> c:d holds on ``side``, one
+        read of its table."""
+        rows, A, B = self.table(side, policy), side.alg_a.index, side.alg_b.index
+        nA, nB = len(A), len(B)
+        return lambda a, b, c, d: rows[A[a] * nA + A[b]] >> B[c] * nB + B[d] & 1 == 1
+
     def table(self, side, policy) -> tuple[int, ...]:
         """The quadruple relation a:b <sign> c:d on ``side``, as one int per row
         (a, b) in A x A product order, whose bit k is set when it holds for the

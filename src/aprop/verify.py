@@ -108,8 +108,9 @@ class AxiomSchema:
     short-circuit enumeration of the statement evaluates up to it, from the
     table ``rows`` of the (A, B) side (see ``ArrowRelation.table``).  Only
     p-symmetry's join reads ``mirror``, the table of the (B, A) side, which
-    is ``rows`` when None (one algebra).  Schemata over one or three algebras
-    are read with A = B (and C = B).
+    is ``rows`` when None (one algebra); ``mirrored`` marks it, and
+    ``check_axiom`` builds that table for it only.  Schemata over one or
+    three algebras are read with A = B (and C = B).
     """
 
     name: str
@@ -117,6 +118,7 @@ class AxiomSchema:
     instances: Callable[..., Iterable[tuple[Element, ...]]] | None = None
     violated: Callable[..., bool] | None = None
     join: Callable[..., tuple[tuple[Element, ...] | None, int]] | None = None
+    mirrored: bool = False
 
 
 def _ones(mask: int):
@@ -272,7 +274,7 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
             "p-reflexivity", 1, lambda A, B, S: product(A, repeat=2),
             lambda p, ab, ba, a, b: not p(ab, (a, b, a, b)),
         ),
-        AxiomSchema("p-symmetry", 2, join=_symmetry_join),
+        AxiomSchema("p-symmetry", 2, join=_symmetry_join, mirrored=True),
         AxiomSchema("inner-p-symmetry", 2, join=_inner_symmetry_join),
         AxiomSchema(
             "p-determinism", 1, lambda A, B, S: product(A, repeat=2),
@@ -327,14 +329,6 @@ def _arrows(framework: str, policy: CompetitorPolicy) -> ArrowRelation:
     return FRAMEWORKS[framework].arrows
 
 
-def _bit(relation: ArrowRelation, side: PairContext, policy: CompetitorPolicy):
-    """``bit(a, b, c, d)``: whether a:b, c:d is in ``relation`` on ``side``,
-    one read of its table."""
-    rows, A, B = relation.table(side, policy), side.alg_a.index, side.alg_b.index
-    nA, nB = len(A), len(B)
-    return lambda a, b, c, d: rows[A[a] * nA + A[b]] >> B[c] * nB + B[d] & 1 == 1
-
-
 def check_axiom(
     name: str,
     ctx: PairContext,
@@ -345,9 +339,11 @@ def check_axiom(
     first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
-    The schema is a query over the tables of ``ctx`` and ``ctx.swapped()``, one on
-    one algebra, taken before it enumerates or joins: each quadruple is decided
-    once per context, relation and policy; no verdict is built.
+    The schema is a query over the table of ``ctx``, taken before it
+    enumerates or joins, and over that of ``ctx.swapped()`` (``ctx`` itself on
+    one algebra), taken for p-symmetry's join or a statement's first read of
+    it: each quadruple is decided once per context, relation and policy; no
+    verdict is built.
     ``instances`` counts the proportion evaluations the short-circuit
     enumeration of the statement makes up to its first counterexample,
     repeats included: a statement counts its reads, a join derives the count.
@@ -363,17 +359,18 @@ def check_axiom(
         )
     relation = _arrows(framework, policy)
     if schema.join is not None:
-        ce, instances = schema.join(
-            relation.table(ctx, policy), A, B, relation.table(ctx.swapped(), policy)
-        )
+        rows = relation.table(ctx, policy)
+        mirror = relation.table(ctx.swapped(), policy) if schema.mirrored else None
+        ce, instances = schema.join(rows, A, B, mirror)
     else:
         ba, instances = ctx.swapped(), 0
-        here, there = _bit(relation, ctx, policy), _bit(relation, ba, policy)
+        here = relation.bit(ctx, policy)
 
         def p(side: PairContext, q: Quadruple) -> bool:
+            # no bundled statement reads ba, whose table is built on its first read
             nonlocal instances
             instances += 1
-            return (here if side is ctx else there)(*q)
+            return (here if side is ctx else relation.bit(side, policy))(*q)
 
         violated = partial(schema.violated, p, ctx, ba)
         tuples = schema.instances(A, B, tuple(e for e in A if e in ctx.alg_b.index))

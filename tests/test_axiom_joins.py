@@ -6,13 +6,18 @@ short-circuit enumeration of the statement reads up to it, worked out by
 hand: two per instance for a ``!=`` statement; for central-p-transitivity,
 all n instances of a block (a, b, c) read p1 alone when a:b ~ b:c fails,
 and otherwise each reads 1 + [p1] + [p1 and p2].  The statement's own
-enumeration must agree.
+enumeration must agree.  On a quotient pair, only p-symmetry builds the
+table of the mirror side.
 """
 
-import pytest
-from test_axiom_query import enumerate_statement
+from itertools import product
 
-from aprop.verify import AXIOM_SCHEMATA
+import pytest
+from test_arrow_memo import QUOTIENT_PAIRS
+from test_axiom_query import POLICIES, enumerate_statement, expected_report
+
+from aprop.clone import Bounds, build_pair_context
+from aprop.verify import AXIOM_SCHEMATA, FRAMEWORKS, check_axiom
 
 U = ("x", "y")
 V = ("u", "v", "w")
@@ -119,3 +124,19 @@ def test_joins_on_one_algebra(case):
 @pytest.mark.parametrize("case", TWO_ALGEBRAS)
 def test_joins_on_two_algebras(case):
     check(case.split(":")[0], U, V, *TWO_ALGEBRAS[case])
+
+
+@pytest.mark.parametrize("pair", ["A3:collapse-1", "collapse-1:A3"])
+def test_only_p_symmetry_builds_the_mirror_table(pair):
+    """On two algebras a lone check builds the table of the (B, A) side only
+    for p-symmetry, the one schema that reads it; every report is that of the
+    statement's own enumeration, which reads both sides through verdicts."""
+    slow = build_pair_context(*QUOTIENT_PAIRS[pair], Bounds())
+    for framework, policy in product(FRAMEWORKS, POLICIES):
+        for name in ("inner-p-transitivity", "inner-p-reflexivity", "p-symmetry"):
+            ctx = build_pair_context(*QUOTIENT_PAIRS[pair], Bounds())
+            assert ctx.swapped() is not ctx
+            report = check_axiom(name, ctx, framework, policy)
+            assert report == expected_report(name, slow, framework, policy)
+            assert len(ctx.quad_tables) == 1
+            assert len(ctx.swapped().quad_tables) == (name == "p-symmetry")

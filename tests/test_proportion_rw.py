@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from test_arrow_memo import QUOTIENT_PAIRS
 
+from aprop.clone import Bounds, build_pair_context
 from aprop.proportion_rw import (
+    RW,
     arrow_proportion_rw,
     is_characteristic_r_justification_set,
     jus_membership_via_solutions,
@@ -12,7 +15,9 @@ from aprop.proportion_rw import (
     uniqueness_lemma_check,
 )
 from aprop.proportion_sim import is_characteristic_justification_set, proportion_sim
-from aprop.terms import ArrowPattern, RewriteRule, parse_term
+from aprop.terms import ArrowPattern, RewriteRule, Var, parse_term
+from aprop.verdicts import HOLDING
+from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
 def justifications(ctx, ids):
@@ -103,6 +108,17 @@ class TestJusMembership:
                 "a", "b", "c", "d", ctx.alg_a, ctx.alg_b,
             )
 
+    def test_non_rule_message_is_that_of_rewrite_rule(self, contexts):
+        ctx = contexts("A2")
+        lang = ctx.alg_a.language
+        for s, t in (("x0", "x1"), ("f(x0)", "f(x1)"), ("f(f(x1))", "x0")):
+            s, t = parse_term(s, lang), parse_term(t, lang)
+            with pytest.raises(ValueError) as want:
+                RewriteRule(s, t)
+            with pytest.raises(ValueError) as got:
+                jus_membership_via_solutions(s, t, "a", "b", "c", "d", ctx.alg_a, ctx.alg_b)
+            assert str(got.value) == str(want.value) == f"not a rewrite rule: {s} ->> {t}"
+
     def test_agrees_with_direct_membership(self, contexts):
         ctx = contexts("EAABB")
         lang = ctx.alg_a.language
@@ -171,6 +187,27 @@ class TestUniquenessLemma:
         report = uniqueness_lemma_check(rule, "a", "b", "c", "c", ctx)
         assert report.premise_arrow
         assert report.conclusion_arrow
+
+
+@pytest.mark.parametrize(
+    "name", [*bundled_algebra_names(), "A3:collapse-1", "collapse-1:A3"]
+)
+def test_uniqueness_conclusions_are_those_of_rw(name):
+    """conclusion_arrow and conclusion_full, read from the arrow-code memo and
+    the quadruple table, are RW.code and RW.decider on a context of their own."""
+    def build():
+        if name in QUOTIENT_PAIRS:
+            return build_pair_context(*QUOTIENT_PAIRS[name], Bounds(max_vars=2))
+        return build_pair_context(bundled_algebra(name), bounds=Bounds(max_vars=2))
+
+    ctx, other = build(), build()
+    holds, rule = RW.decider(other, "d-only"), RewriteRule(Var(0), Var(0))
+    A, B = ctx.alg_a.universe, ctx.alg_b.universe
+    for a, b, c, d in itertools.product(A, A, B, B):
+        report = uniqueness_lemma_check(rule, a, b, c, d, ctx)
+        code = RW.code((a, b), (c, d), other, "d-only")
+        assert report.conclusion_arrow == (code[0] in HOLDING)
+        assert report.conclusion_full == holds((a, b, c, d))
 
 
 class TestSolveRw:

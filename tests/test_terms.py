@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from aprop.algebras import FiniteAlgebra, evaluate
@@ -149,3 +151,64 @@ class TestCachedKey:
             assert cached == fresh and hash(cached) == hash(fresh)
             assert repr(cached) == repr(fresh)
             assert len({cached, fresh}) == 1
+
+
+def terms_to_depth_3(seed=0, sampled=300):
+    """Every term over L3 and x0, x1, x2 to depth 2, and ``sampled`` seeded
+    depth-3 terms built on them."""
+    pool = [Var(0), Var(1), Var(2), App("c")]
+    pool += [App("f", (t,)) for t in pool] + [App("g", (s, t)) for s in pool for t in pool]
+    pool += [App("f", (t,)) for t in pool] + [App("g", (s, t)) for s in pool for t in pool]
+    rng = random.Random(seed)
+    deep = [
+        App("f", (rng.choice(pool),)) if rng.random() < 0.3
+        else App("g", (rng.choice(pool), rng.choice(pool)))
+        for _ in range(sampled)
+    ]
+    return pool + [t for t in deep if t.depth() == 3]
+
+
+def first_occurrences(t):
+    """The variable indices of t in first-occurrence order, by a preorder walk."""
+    seen, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u.index not in seen:
+                seen.append(u.index)
+        else:
+            stack.extend(reversed(u.children))
+    return tuple(seen)
+
+
+def nodes(t):
+    yield t
+    for c in getattr(t, "children", ()):
+        yield from nodes(c)
+
+
+class TestCachedVariables:
+    def test_variables_match_a_walk(self):
+        terms = terms_to_depth_3()
+        assert max(t.depth() for t in terms) == 3
+        for t in terms:
+            assert t.variables() == first_occurrences(t), str(t)
+            assert t.rank == len(first_occurrences(t))
+
+    def test_nothing_is_stored_before_the_first_read(self):
+        for text in (*TEXTS, "g(f(x1),g(x2,x1))", "f(f(g(x0,c)))"):
+            t = parse_term(text, L3)
+            str(t)
+            assert all("_variables" not in vars(u) for u in nodes(t))
+            assert t.variables() == first_occurrences(t)
+            assert all("_variables" in vars(u) for u in nodes(t))
+
+    def test_equality_ignores_the_stored_variables(self):
+        for t in terms_to_depth_3(seed=1, sampled=100):
+            text = str(t)
+            read, fresh = parse_term(text, L3), parse_term(text, L3)
+            read.variables()
+            assert "_variables" in vars(read) and "_variables" not in vars(fresh)
+            assert read == fresh and hash(read) == hash(fresh)
+            assert repr(read) == repr(fresh)
+            assert len({read, fresh}) == 1
