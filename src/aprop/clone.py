@@ -14,10 +14,11 @@ on those relation classes.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, attrgetter
+from operator import add
 
 from .algebras import AlgebraSpecError, Element, FiniteAlgebra
 from .terms import App, Term, Var
@@ -288,7 +289,7 @@ class PairContext:
     id i) that the kernel reads; ``cont_a``, ``jus_a`` and ``elem_up_a`` are
     read-only views of them, decoded to frozensets per read.  ``swapped()`` is
     the context on (B, A): on one algebra the context itself, with one memo;
-    on two a mirror built once and linked both ways, sharing ``clone`` and
+    on two a mirror owned by the side that built it, sharing ``clone`` and
     ``relations``.  Each B-side index is the A-side one of ``swapped()``.
     """
 
@@ -296,10 +297,8 @@ class PairContext:
     alg_b: FiniteAlgebra
     clone: CloneResult
     relations: list[RelationClass]
-    # Set on the mirror made by swapped(): the context it mirrors.  The
-    # mirror's first algebra is that context's second, so its A-side indexes
-    # read ``rel_b`` and ``image_b``.
-    mirror_of: PairContext | None = field(
+    # swapped() on two algebras: the mirror this side built, or a weakref to its builder.
+    _partner: PairContext | weakref.ref | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # The verdict layer's memo of this side, not shared with a mirror:
@@ -320,8 +319,8 @@ class PairContext:
     @cached_property
     def cont_masks(self) -> dict[tuple[Element, Element], int]:
         """Arrow -> bit i set for each non-trivial relation class i containing it in A."""
-        rel = attrgetter("rel_a" if self.mirror_of is None else "rel_b")
-        sets = [() if rc.trivial else rel(rc) for rc in self.relations]
+        rel = "rel_a" if self.alg_a is self.clone.alg_a else "rel_b"
+        sets = [() if rc.trivial else getattr(rc, rel) for rc in self.relations]
         return _masks(itertools.product(self.alg_a.universe, repeat=2), sets)
 
     @cached_property
@@ -334,8 +333,8 @@ class PairContext:
     @cached_property
     def elem_up_masks(self) -> dict[Element, int]:
         """Element -> bit i set for each non-trivial class i whose A-image contains it."""
-        image = attrgetter("image_a" if self.mirror_of is None else "image_b")
-        sets = [() if self.class_trivial(c) else image(c) for c in self.clone.classes]
+        image = "image_a" if self.alg_a is self.clone.alg_a else "image_b"
+        sets = [() if self.class_trivial(c) else getattr(c, image) for c in self.clone.classes]
         return _masks(self.alg_a.universe, sets)
 
     @cached_property
@@ -371,19 +370,18 @@ class PairContext:
         )
 
     def swapped(self) -> PairContext:
-        """The same context with the roles of the two algebras exchanged:
-        the context itself when both are one algebra."""
-        if self.mirror_of is not None:
-            return self.mirror_of
+        """The same context with the roles of the two algebras exchanged: the
+        context itself on one algebra.  On two, the first call builds and keeps
+        the mirror, which holds its builder weakly and builds a new one if it is gone."""
         if self.alg_b is self.alg_a:
             return self
-        return self._mirror
-
-    @cached_property
-    def _mirror(self) -> PairContext:
-        mirror = PairContext(self.alg_b, self.alg_a, self.clone, self.relations)
-        mirror.mirror_of = self
-        return mirror
+        partner = self._partner
+        if isinstance(partner, weakref.ref):
+            partner = partner()
+        if partner is None:
+            partner = PairContext(self.alg_b, self.alg_a, self.clone, self.relations)
+            partner._partner, self._partner = weakref.ref(self), partner
+        return partner
 
 
 def build_pair_context(

@@ -306,6 +306,73 @@ def test_a_dropped_one_algebra_context_is_freed_without_the_collector():
         gc.enable()
 
 
+def two_algebra_sweep(ctx) -> None:
+    """Verdicts, solves, similarity, comparisons and the two-algebra axioms."""
+    A, B = ctx.alg_a.universe, ctx.alg_b.universe
+    for policy in POLICIES:
+        proportion_sim(A[0], A[-1], B[0], B[-1], ctx, policy)
+        solve_sim(A[0], A[-1], B[0], ctx, policy)
+        similar(A[-1], B[0], ctx, policy)
+        compare_frameworks(ctx, policy)
+        for framework in FRAMEWORKS:
+            for schema in AXIOM_SCHEMATA.values():
+                if schema.context_arity == 2:
+                    check_axiom(schema.name, ctx, framework, policy)
+    proportion_rw(A[0], A[-1], B[0], B[-1], ctx)
+    solve_rw(A[0], A[-1], B[0], ctx)
+
+
+@pytest.mark.parametrize("name", ["A3:collapse-0", "collapse-0:A3"])
+def test_a_dropped_two_algebra_context_and_its_mirror_are_freed_without_the_collector(name):
+    """The mirror holds the context that built it weakly, so no reference
+    cycle keeps either side alive once the context is dropped."""
+    gc.disable()
+    try:
+        ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
+        two_algebra_sweep(ctx)
+        assert ctx.swapped() is not ctx and ctx.swapped().swapped() is ctx
+        refs = [weakref.ref(ctx), weakref.ref(ctx.swapped())]
+        del ctx
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["A3:collapse-0", "collapse-0:A3"])
+def test_a_mirror_kept_without_its_builder_decides_as_a_fresh_context(name):
+    """A mirror whose builder is dropped builds a new partner and keeps it:
+    the round trip, every verdict and the indexes hold as on a fresh (B, A)
+    context, and dropping the mirror frees both."""
+    ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
+    two_algebra_sweep(ctx)
+    m = ctx.swapped()
+    b_views = {view: getattr(m, f"{view}_b") for view in ("cont", "jus", "elem_up")}
+    builder = weakref.ref(ctx)
+    del ctx
+    assert builder() is None
+    partner = m.swapped()
+    assert partner.swapped() is m and m.swapped() is partner
+    for view, b_view in b_views.items():
+        # the cached views were the old builder's: equal, no longer the same
+        assert getattr(m, f"{view}_b") is b_view
+        assert b_view == getattr(partner, f"{view}_a")
+        assert b_view is not getattr(partner, f"{view}_a")
+    del partner
+    fresh = build_pair_context(m.alg_a, m.alg_b, Bounds())
+    A, B = m.alg_a.universe, m.alg_b.universe
+    for q in itertools.product(A, A, B, B):
+        for policy in POLICIES:
+            assert proportion_sim(*q, m, policy) == proportion_sim(*q, fresh, policy)
+        assert proportion_rw(*q, m) == proportion_rw(*q, fresh)
+    gc.disable()
+    try:
+        refs = [weakref.ref(m), weakref.ref(m.swapped())]
+        del m
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 INDEX_VIEWS = ("cont_a", "cont_b", "jus_a", "jus_b", "elem_up_a", "elem_up_b")
 
 
