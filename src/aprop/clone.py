@@ -14,11 +14,14 @@ on those relation classes.
 from __future__ import annotations
 
 import itertools
+import sys
+import time
 import weakref
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from typing import NamedTuple
 
 from .algebras import AlgebraSpecError, Element, FiniteAlgebra
 from .terms import App, Term, Var
@@ -26,6 +29,7 @@ from .terms import App, Term, Var
 __all__ = [
     "Bounds",
     "DenotationClass",
+    "LevelStats",
     "CloneResult",
     "RelationClass",
     "PairContext",
@@ -38,7 +42,8 @@ DEFAULT_CLASS_CAP = 100_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Class-count cap exceeded before saturation."""
+    """Class-count cap exceeded before saturation, or a universe too large
+    for the clone's one-byte element codes."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,16 @@ class DenotationClass:
         return frozenset(self.table_b)
 
 
+class LevelStats(NamedTuple):
+    """One level of a clone build: the candidate terms it committed, the
+    classes and (class, occurrence set) supports they added, and its CPU time."""
+
+    candidates: int
+    new_classes: int
+    new_supports: int
+    cpu_s: float
+
+
 @dataclass
 class CloneResult:
     alg_a: FiniteAlgebra
@@ -94,6 +109,59 @@ class CloneResult:
     classes: list[DenotationClass]
     saturated: bool
     depth_reached: int
+    # Level 0 (variables and constants), then one entry per level built; a
+    # saturated build ends with the level that added nothing.
+    levels: list[LevelStats] = field(default_factory=list)
+
+
+# Inside ``generate_clone`` a table is ``bytes``, one element code
+# (``alg.index``) per row.  An int whose lanes of ``width`` bytes each hold
+# one row's value lets one C-level int operation act on every row at once.
+_ORDER = sys.byteorder
+_FORMAT = {1: "B", 2: "H", 4: "I"}  # lane width -> unsigned array/memoryview format
+
+
+def _width(limit: int) -> int:
+    """The narrowest lane width that holds every value below ``limit``."""
+    return next(width for width in _FORMAT if limit <= 256**width)
+
+
+def _pack(values: list[int], width: int) -> int:
+    """``values`` as one int of ``width``-byte lanes, one value per lane."""
+    return int.from_bytes(array(_FORMAT[width], values), _ORDER)
+
+
+def _op_lanes(alg: FiniteAlgebra, sym: str, rank: int) -> tuple[int, int, bytes]:
+    """``sym`` on ``alg`` as ``_apply`` reads it: (|U|, lane width, codes).
+
+    ``codes`` holds the result code of each argument tuple at its combined
+    index sum(k_p * |U|^(rank-1-p)), the product order of the tuples, padded
+    to 256 codes for ``bytes.translate``.  The lane holds every index below
+    |U|^rank.  This is the only read of the op's table in a build.
+    """
+    size, op, index = len(alg.universe), alg.tables[sym], alg.index
+    codes = bytes(index[op[args]] for args in itertools.product(alg.universe, repeat=rank))
+    return size, _width(size**rank), codes.ljust(256, b"\0")
+
+
+def _apply(op: tuple[int, int, bytes], tables: tuple[bytes, ...]) -> bytes:
+    """The code table of an op applied row by row to its children's tables.
+
+    Horner's rule over the children, one int of lanes each, leaves each row's
+    combined index in its lane; it stays below |U|^rank, which the lane
+    holds, so no row carries into the next.  The indexes are then read back
+    and mapped through the op's codes.
+    """
+    size, width, codes = op
+    total = 0
+    for table in tables:
+        total = total * size + (
+            int.from_bytes(table, _ORDER) if width == 1 else _pack(list(table), width)
+        )
+    lanes = total.to_bytes(len(tables[0]) * width, _ORDER)
+    if width == 1:
+        return lanes.translate(codes)
+    return bytes(map(codes.__getitem__, memoryview(lanes).cast(_FORMAT[width])))
 
 
 def generate_clone(
@@ -107,16 +175,27 @@ def generate_clone(
     combination; the class set is then closed under every operation of the
     language and represents the full term universe over v variables.
     """
+    start = time.process_time()
     if alg_b is None:
         alg_b = alg_a
     if alg_a.language != alg_b.language:
         raise AlgebraSpecError("joint clone requires a common language")
+    for alg in (alg_a, alg_b):
+        if len(alg.universe) > 256:
+            raise ResourceLimitError(f"algebra {alg.name!r}: the clone takes at most 256 elements")
     v = bounds.max_vars
     same = alg_b is alg_a  # then every table_b is its table_a
-    assigns_a = list(itertools.product(alg_a.universe, repeat=v))
-    assigns_b = list(itertools.product(alg_b.universe, repeat=v))
+    # the variables' tables: columns of the assignments' codes, in product order
+    columns_a, columns_b = (
+        list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
+        for alg in (alg_a, alg_b)
+    )
+    symbols = [(sym, rank) for sym, rank in alg_a.language.symbols if rank > 0]
+    ops_a = {sym: _op_lanes(alg_a, sym, rank) for sym, rank in symbols}
+    ops_b = ops_a if same else {sym: _op_lanes(alg_b, sym, rank) for sym, rank in symbols}
 
     classes: dict[tuple, DenotationClass] = {}
+    levels: list[LevelStats] = []
 
     def exceeded(depth: int) -> ResourceLimitError:
         return ResourceLimitError(f"class cap {bounds.class_cap} exceeded at depth {depth}")
@@ -139,24 +218,27 @@ def generate_clone(
     # expansion items: (class key, occurrence set)
     frontier: list[tuple[tuple, frozenset[int]]] = []
     for i in range(v):
-        ta = tuple(o[i] for o in assigns_a)
-        tb = ta if same else tuple(o[i] for o in assigns_b)
+        ta, tb = columns_a[i], columns_b[i]
         record(ta, tb, frozenset([i]), Var(i), 0)
         frontier.append(((ta, tb), frozenset([i])))
-    for sym, rank in alg_a.language.symbols:
-        if rank == 0:
-            ta = (alg_a.apply(sym, ()),) * len(assigns_a)
-            tb = ta if same else (alg_b.apply(sym, ()),) * len(assigns_b)
-            if record(ta, tb, frozenset(), App(sym), 0):
-                frontier.append(((ta, tb), frozenset()))
+    constants = [sym for sym, rank in alg_a.language.symbols if rank == 0]
+    for sym in constants:
+        ta = bytes([alg_a.index[alg_a.apply(sym, ())]]) * len(columns_a[0])
+        tb = ta if same else bytes([alg_b.index[alg_b.apply(sym, ())]]) * len(columns_b[0])
+        if record(ta, tb, frozenset(), App(sym), 0):
+            frontier.append(((ta, tb), frozenset()))
     if len(classes) > bounds.class_cap:
         raise exceeded(0)
+    levels.append(
+        LevelStats(v + len(constants), len(classes), len(frontier), time.process_time() - start)
+    )
 
     depth = 0
     saturated = False
     while True:
         if bounds.max_depth is not None and depth >= bounds.max_depth:
             break
+        start, known_classes = time.process_time(), len(classes)
         # Each child is (table_a, table_b, occurrence set, witness, depth,
         # class position), read before this level commits anything.
         frontier_set = set(frontier)
@@ -168,11 +250,8 @@ def generate_clone(
         every = old + fresh
         candidates = []
         new_keys = set()  # each becomes a class when the level commits
-        for sym, rank in alg_a.language.symbols:
-            if rank == 0:
-                continue
-            op_a = alg_a.tables[sym].__getitem__
-            op_b = alg_b.tables[sym].__getitem__
+        for sym, rank in symbols:
+            op_a, op_b = ops_a[sym], ops_b[sym]
             # A combination's tables depend only on its children's classes:
             # the op is applied once per tuple of class positions.
             made: dict[tuple[int, ...], tuple] = {}
@@ -184,8 +263,8 @@ def generate_clone(
                     tables_a, tables_b, sups, children, depths, positions = zip(*combo)
                     found = made.get(positions)
                     if found is None:
-                        table_a = tuple(map(op_a, zip(*tables_a)))
-                        table_b = table_a if same else tuple(map(op_b, zip(*tables_b)))
+                        table_a = _apply(op_a, tables_a)
+                        table_b = table_a if same else _apply(op_b, tables_b)
                         key = (table_a, table_b)
                         cls = classes.get(key)
                         if cls is None:
@@ -210,14 +289,22 @@ def generate_clone(
         for term, table_a, table_b, support in candidates:
             if record(table_a, table_b, support, term, depth):
                 new_frontier.append(((table_a, table_b), support))
+        levels.append(LevelStats(
+            len(candidates), len(classes) - known_classes, len(new_frontier),
+            time.process_time() - start,
+        ))
         if not new_frontier:
             saturated = True
             depth -= 1
             break
         frontier = new_frontier
 
+    # Decoded once, here: a class's tables leave the build as element tuples.
+    for c in classes.values():
+        c.table_a = tuple(map(alg_a.universe.__getitem__, c.table_a))
+        c.table_b = c.table_a if same else tuple(map(alg_b.universe.__getitem__, c.table_b))
     ordered = sorted(classes.values(), key=lambda c: (c.depth_found, str(c.witness)))
-    return CloneResult(alg_a, alg_b, bounds, ordered, saturated, depth)
+    return CloneResult(alg_a, alg_b, bounds, ordered, saturated, depth, levels)
 
 
 @dataclass
@@ -426,20 +513,26 @@ def build_pair_context(
         return best
 
     # The relation of a class pair as one set of integer arrows: (x, y) in A
-    # is x * |A| + y, (x, y) in B is |A|^2 + x * |B| + y.
+    # is x * |A| + y, (x, y) in B is |A|^2 + x * |B| + y.  Each class packs
+    # its rows once into lanes wide enough for every arrow, as sources x and
+    # as targets y, so a pair's arrows are one int add read back lane by lane.
     same = alg_b is alg_a  # then the B half repeats the A half: A's arrows only
     index_a, index_b = alg_a.index, alg_b.index
     size_a, size_b = len(alg_a.universe), len(alg_b.universe)
     offset = size_a * size_a
+    arrows = offset if same else offset + size_b * size_b
+    width = _width(arrows)
+    fmt = _FORMAT[width]
     sources, targets = [], []
     for c in classes:
         codes_a = [index_a[e] for e in c.table_a]
         codes_b = [] if same else [index_b[e] for e in c.table_b]
-        sources.append(
-            tuple(x * size_a for x in codes_a) + tuple(offset + x * size_b for x in codes_b)
-        )
-        targets.append(tuple(codes_a + codes_b))
-    full = frozenset(range(offset if same else offset + size_b * size_b))
+        sources.append(_pack(
+            [x * size_a for x in codes_a] + [offset + x * size_b for x in codes_b], width
+        ))
+        targets.append(_pack(codes_a + codes_b, width))
+    length = width * (len(classes[0].table_a) + (0 if same else len(classes[0].table_b)))
+    full = frozenset(range(arrows))
 
     # Visit class pairs in increasing witness-pair order, so the first pair
     # of a relation is its witness.  A rewrite pair is never smaller than the
@@ -456,7 +549,8 @@ def build_pair_context(
         for i in by_string:
             row, left = sources[i], strings[i]
             for j in at_depth.get(total - depths[i], ()):
-                key = frozenset(map(add, row, targets[j]))
+                lanes = (row + targets[j]).to_bytes(length, _ORDER)
+                key = frozenset(lanes if width == 1 else memoryview(lanes).cast(fmt))
                 group = grouped.get(key)
                 if group is None:
                     grouped[key] = [i, j, rewrite(i, j)]

@@ -1,5 +1,7 @@
 import itertools
 import random
+import string
+from collections import Counter
 
 import pytest
 
@@ -38,15 +40,23 @@ def all_terms(language: Language, max_vars: int, max_depth: int) -> list[Term]:
 
 def generated_algebra(name: str) -> FiniteAlgebra:
     """CS<n>: a unary n-cycle f and the shift g(i) = min(i+1, n-1);
-    Z<n>: addition modulo n; J<n>: the join (maximum) of an n-element chain."""
-    kind, n = name[:-1], int(name[-1])
-    u = tuple("abcdefgh"[:n])
+    Z<n>: addition modulo n; J<n>: the join (maximum) of an n-element chain;
+    T<n>: the ternary t(i, j, k) = i + 2j + 3k modulo n."""
+    kind = name.rstrip("0123456789")
+    n = int(name[len(kind):])
+    u = tuple(string.ascii_lowercase[:n])
     if kind == "CS":
         symbols = (("f", 1), ("g", 1))
         tables = {
             "f": {(u[i],): u[(i + 1) % n] for i in range(n)},
             "g": {(u[i],): u[min(i + 1, n - 1)] for i in range(n)},
         }
+    elif kind == "T":
+        symbols = (("t", 3),)
+        tables = {"t": {
+            (u[i], u[j], u[k]): u[(i + 2 * j + 3 * k) % n]
+            for i, j, k in itertools.product(range(n), repeat=3)
+        }}
     else:
         op = (lambda i, j: (i + j) % n) if kind == "Z" else max
         symbols = (("p", 2),)
@@ -126,6 +136,26 @@ class TestGenerateClone:
             generate_clone(alg, bounds=Bounds(max_vars=2, class_cap=500))
         assert len(built) < through_level_3 / 4
 
+    @pytest.mark.parametrize("name, max_vars", [("CPTRANS", 2), ("CG3", 1), ("Z3", 3)])
+    def test_levels_add_up_to_the_clone(self, name, max_vars):
+        result = generate_clone(named_algebra(name), bounds=Bounds(max_vars=max_vars))
+        assert result.saturated
+        assert len(result.levels) == result.depth_reached + 2  # with the level that added nothing
+        assert sum(level.new_classes for level in result.levels) == len(result.classes)
+        assert sum(level.new_supports for level in result.levels) == sum(
+            len(c.witnesses) for c in result.classes
+        )
+        assert result.levels[-1].new_supports == 0
+        assert all(level.cpu_s >= 0 for level in result.levels)
+
+    def test_universe_beyond_one_byte_codes(self):
+        u = tuple(f"e{i}" for i in range(257))
+        alg = FiniteAlgebra(
+            "U257", Language((("f", 1),)), u, {"f": {(e,): e for e in u}}
+        )
+        with pytest.raises(ResourceLimitError, match="at most 256 elements"):
+            generate_clone(alg, bounds=Bounds(max_vars=1))
+
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)
         for _ in range(8):
@@ -186,28 +216,42 @@ class CountingTable(dict):
         return super().__getitem__(args)
 
 
-def test_op_is_applied_once_per_child_class_tuple_per_level():
+@pytest.mark.parametrize("name, max_vars", [("Z3", 2), ("CG3", 1)])
+def test_op_is_applied_once_per_child_class_tuple_per_level(name, max_vars, monkeypatch):
     """A combination's tables depend on its children's classes only, not on
     their occurrence sets: each level applies a symbol at most once per tuple
-    of child classes.  A one-algebra build computes one table per application,
-    |U|^v lookups whose argument columns are the child classes' tables."""
-    alg = generated_algebra("Z3")
+    of child classes.  An application runs on the children's code tables
+    (``_apply``); each op's own table is read only to build its codes,
+    |U|^rank times per build."""
+    import aprop.clone
+
+    alg = named_algebra(name)
     asked = []
     counting = FiniteAlgebra(
         alg.name, alg.language, alg.universe,
         {sym: CountingTable(sym, table, asked) for sym, table in alg.tables.items()},
     )
-    width = len(alg.universe) ** 2
+    op_lanes, apply = aprop.clone._op_lanes, aprop.clone._apply
+    symbol_of, applied = {}, []
+
+    def lanes(alg, sym, rank):
+        op = symbol_of[sym] = op_lanes(alg, sym, rank)
+        return op
+
+    def counted(op, tables):
+        applied.append((next(sym for sym, known in symbol_of.items() if known is op), tables))
+        return apply(op, tables)
+
+    monkeypatch.setattr(aprop.clone, "_op_lanes", lanes)
+    monkeypatch.setattr(aprop.clone, "_apply", counted)
+    reads = {sym: len(alg.universe) ** rank for sym, rank in alg.language.symbols}
     earlier = 0
     for depth in itertools.count(1):
         asked.clear()
-        result = generate_clone(counting, bounds=Bounds(max_vars=2, max_depth=depth))
-        assert len(asked) % width == 0
-        applied = [
-            (asked[i][0], tuple(zip(*(args for _, args in asked[i:i + width]))))
-            for i in range(0, len(asked), width)
-        ]
-        level = applied[earlier:]  # earlier levels repeat the shallower build's lookups
+        applied.clear()
+        result = generate_clone(counting, bounds=Bounds(max_vars=max_vars, max_depth=depth))
+        assert Counter(sym for sym, _ in asked) == reads
+        level = applied[earlier:]  # earlier levels repeat the shallower build's applications
         assert level
         assert len(level) == len(set(level))
         earlier = len(applied)
@@ -490,7 +534,10 @@ def named_algebra(name: str) -> FiniteAlgebra:
 @pytest.mark.parametrize(
     "name, max_vars",
     [(name, 2) for name in bundled_algebra_names()]
-    + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1)],
+    # one-byte lanes for ops and keys, up to 27 rows; then two-byte lanes:
+    # Z17 for its binary op and its relation keys (17^2 > 256), T7 for its
+    # ternary op (7^3 > 256)
+    + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1), ("Z3", 3), ("Z17", 1), ("T7", 1)],
 )
 def test_build_matches_reference(name, max_vars):
     alg = named_algebra(name)
@@ -500,6 +547,8 @@ def test_build_matches_reference(name, max_vars):
     assert [(c.table_a, fresh_str(c.witness)) for c in ctx.clone.classes] == [
         (table, fresh_str(witness)) for table, _, witness in classes
     ]
+    variables = tuple(range(max_vars))
+    assert all(term_table(c.witness, alg, variables) == c.table_a for c in ctx.clone.classes)
     assert [
         {sup: fresh_str(t) for sup, t in c.witnesses.items()} for c in ctx.clone.classes
     ] == [{sup: fresh_str(t) for sup, t in ws.items()} for _, ws, _ in classes]
@@ -513,6 +562,27 @@ def test_build_matches_reference(name, max_vars):
         for w, rw, trivial, rel in reference_relations(classes, alg)
     ]
     assert got == want
+
+
+def test_two_half_keys_in_wide_lanes():
+    """Z5 against Z16 has 25 + 256 arrows, so its relation keys take two-byte
+    lanes while both ops take one-byte lanes.  The relation classes are the
+    relation pairs of all class pairs, each once, full only when both are."""
+    z5, z16 = generated_algebra("Z5"), generated_algebra("Z16")
+    ctx = build_pair_context(z5, z16, Bounds(max_vars=1))
+    assert len(ctx.clone.classes) == 80  # k * x0 for k modulo 5 and modulo 16
+    full = (
+        frozenset(itertools.product(z5.universe, repeat=2)),
+        frozenset(itertools.product(z16.universe, repeat=2)),
+    )
+    pairs = {
+        (frozenset(zip(s.table_a, t.table_a)), frozenset(zip(s.table_b, t.table_b)))
+        for s in ctx.clone.classes for t in ctx.clone.classes
+    }
+    assert len(ctx.relations) == len(pairs)
+    assert {((rc.rel_a, rc.rel_b), rc.trivial) for rc in ctx.relations} == {
+        (pair, pair == full) for pair in pairs
+    }
 
 
 @pytest.mark.parametrize(

@@ -141,15 +141,15 @@ def naive_lesssim(ups, x, y, source, target, policy: str) -> bool:
     return maximal(ups[source][x], ups[target], y, ups[target], skip)
 
 
-def oracle_mismatches(A, B) -> list:
+def oracle_mismatches(A, B, max_vars=MAX_VARS) -> list:
     """Every query where the engine on (A, B) and the oracle disagree.  The
     quadruples, the element pairs and the solves each run on a fresh
     context, so no path reads a memo another one filled."""
-    terms = naive_terms(A, B)
+    terms = naive_terms(A, B, max_vars)
     conts = {fw: naive_cont(A, B, terms, fw) for fw in ("sim", "rw")}
     ups = naive_up(A, B, terms)
     mismatches, expected = [], {}
-    ctx = build_pair_context(A, B, Bounds(max_vars=MAX_VARS))
+    ctx = build_pair_context(A, B, Bounds(max_vars=max_vars))
     assert ctx.saturated
     for q in itertools.product(A.universe, A.universe, B.universe, B.universe):
         for policy in POLICIES:
@@ -159,7 +159,7 @@ def oracle_mismatches(A, B) -> list:
         expected["rw", q] = naive_verdict(conts["rw"], A, B, q, "rw")
         if bool(proportion_rw(*q, ctx)) != expected["rw", q]:
             mismatches.append(("proportion_rw", q))
-    ctx = build_pair_context(A, B, Bounds(max_vars=MAX_VARS))
+    ctx = build_pair_context(A, B, Bounds(max_vars=max_vars))
     for a, b in itertools.product(A.universe, B.universe):
         for policy in POLICIES:
             forth = naive_lesssim(ups, a, b, 0, 1, policy)
@@ -168,7 +168,7 @@ def oracle_mismatches(A, B) -> list:
                 mismatches.append(("lesssim", policy, a, b))
             if bool(similar(a, b, ctx, policy)) != (forth and back):
                 mismatches.append(("similar", policy, a, b))
-    ctx = build_pair_context(A, B, Bounds(max_vars=MAX_VARS))
+    ctx = build_pair_context(A, B, Bounds(max_vars=max_vars))
     for a, b, c in itertools.product(A.universe, A.universe, B.universe):
         for policy in POLICIES:
             if solve_sim(a, b, c, ctx, policy) != [
@@ -236,3 +236,44 @@ def test_z3_addition_against_the_three_chain_join(order):
     join3 = binary_algebra("C3", max)
     A, B = (add3, join3) if order == "add-join" else (join3, add3)
     assert oracle_mismatches(A, B) == []
+
+
+def algebra(name: str, size: int, ops) -> FiniteAlgebra:
+    """The algebra on the first ``size`` of a..e with ops (symbol, rank,
+    function on element positions)."""
+    universe = tuple("abcde"[:size])
+    return FiniteAlgebra(
+        name, Language(tuple((sym, rank) for sym, rank, _ in ops)), universe,
+        {
+            sym: {
+                tuple(universe[i] for i in args): universe[fn(*args)]
+                for args in itertools.product(range(size), repeat=rank)
+            }
+            for sym, rank, fn in ops
+        },
+    )
+
+
+# Two ops each, of different sizes: a 2- against a 3-element algebra at two
+# variables, and a 5- against a 4-element chain (shift f, reflection g) at one.
+TWO_OP_PAIRS = {
+    "swap-cycle": (
+        algebra("P2", 2, [("f", 1, lambda i: 1 - i), ("g", 1, lambda i: 0)]),
+        algebra("Q3", 3, [("f", 1, lambda i: (i + 1) % 3), ("g", 1, lambda i: max(i - 1, 0))]),
+        2,
+    ),
+    "chain5-chain4": (
+        algebra("R5", 5, [("f", 1, lambda i: min(i + 1, 4)), ("g", 1, lambda i: 4 - i)]),
+        algebra("R4", 4, [("f", 1, lambda i: min(i + 1, 3)), ("g", 1, lambda i: 3 - i)]),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("first", ["larger", "smaller"])
+@pytest.mark.parametrize("name", TWO_OP_PAIRS)
+def test_two_op_algebras_of_different_sizes(name, first):
+    """A's and B's rows and arrows differ in number within one relation key."""
+    smaller, larger, max_vars = TWO_OP_PAIRS[name]
+    A, B = (larger, smaller) if first == "larger" else (smaller, larger)
+    assert oracle_mismatches(A, B, max_vars) == []
