@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .terms import Language, Term, Var
+from .terms import Language, Term, TokenCursor, Var
 
 __all__ = [
     "Element",
@@ -212,49 +212,19 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise AlgebraSpecError(f"unexpected character {text[pos]!r} at {pos}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
+def _spec_error(message: str, position: int) -> AlgebraSpecError:
+    return AlgebraSpecError(f"{message} at {position}")
 
 
-class _SpecParser:
+class _SpecParser(TokenCursor):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise AlgebraSpecError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, got, pos = self.next()
-        if got != value:
-            raise AlgebraSpecError(f"expected {value!r}, got {got!r} at {pos}")
-
-    def word(self) -> str:
-        kind, got, pos = self.next()
-        if kind != "word":
-            raise AlgebraSpecError(f"expected identifier, got {got!r} at {pos}")
-        return got
+        super().__init__(text, _TOKEN, _spec_error)
 
     def parse(self) -> SpecFile:
         algebras: dict[str, FiniteAlgebra] = {}
         mappings: dict[str, Mapping] = {}
         while self.peek() is not None:
+            start = self.i
             keyword = self.word()
             if keyword == "algebra":
                 alg = self.algebra()
@@ -267,7 +237,7 @@ class _SpecParser:
                     raise AlgebraSpecError(f"duplicate mapping {m.name!r}")
                 mappings[m.name] = m
             else:
-                raise AlgebraSpecError(f"expected 'algebra' or 'mapping', got {keyword!r}")
+                raise self.fail(f"expected 'algebra' or 'mapping', got {keyword!r}", start)
         return SpecFile(algebras, mappings)
 
     def algebra(self) -> FiniteAlgebra:
@@ -276,27 +246,22 @@ class _SpecParser:
         self.expect("universe")
         self.expect(":")
         universe = [self.word()]
-        while self.peek() and self.peek()[1] == ",":
-            self.next()
+        while self.accept(","):
             universe.append(self.word())
         self.expect(";")
         symbols: list[tuple[str, int]] = []
         tables: dict[str, dict[tuple[Element, ...], Element]] = {}
-        while self.peek() and self.peek()[1] == "op":
-            self.next()
+        while self.accept("op"):
             sym = self.word()
             self.expect("/")
-            rank_word = self.word() if self.peek() and self.peek()[0] == "word" else None
-            if rank_word is None or not rank_word.isdigit():
-                raise AlgebraSpecError(f"expected rank after {sym!r}/")
-            rank = int(rank_word)
-            default_identity = False
-            if self.peek() and self.peek()[1] == "default":
-                self.next()
+            if not (self.peek() or "").isdigit():
+                raise self.fail(f"expected rank after {sym!r}/")
+            rank = int(self.word())
+            default_identity = self.accept("default")
+            if default_identity:
                 self.expect("identity")
                 if rank != 1:
-                    raise AlgebraSpecError("default identity is only valid for unary ops")
-                default_identity = True
+                    raise self.fail("default identity is only valid for unary ops", self.i - 1)
             self.expect(":")
             table: dict[tuple[Element, ...], Element] = {}
             if default_identity:
@@ -306,10 +271,8 @@ class _SpecParser:
                 self.expect("->")
                 result = self.word()
                 table[args] = result
-                if self.peek() and self.peek()[1] == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
             self.expect(";")
             if sym in tables:
                 raise AlgebraSpecError(f"duplicate op {sym!r}")
@@ -323,13 +286,12 @@ class _SpecParser:
         return FiniteAlgebra(name, language, tuple(universe), tables)
 
     def op_args(self, rank: int) -> tuple[Element, ...]:
-        if self.peek() and self.peek()[1] == "(":
-            self.next()
+        start = self.i
+        if self.accept("("):
             args = []
             if rank > 0:
                 args.append(self.word())
-                while self.peek() and self.peek()[1] == ",":
-                    self.next()
+                while self.accept(","):
                     args.append(self.word())
             self.expect(")")
         elif rank == 1:
@@ -337,9 +299,9 @@ class _SpecParser:
         elif rank == 0:
             args = []
         else:
-            raise AlgebraSpecError("rows for ops of rank >= 2 need parentheses")
+            raise self.fail("rows for ops of rank >= 2 need parentheses")
         if len(args) != rank:
-            raise AlgebraSpecError(f"expected {rank} argument(s), got {len(args)}")
+            raise self.fail(f"expected {rank} argument(s), got {len(args)}", start)
         return tuple(args)
 
     def mapping(self, algebras: dict[str, FiniteAlgebra]) -> Mapping:
@@ -353,15 +315,14 @@ class _SpecParser:
                 raise AlgebraSpecError(f"mapping {name!r} references unknown algebra {ref!r}")
         self.expect("{")
         table: dict[Element, Element] = {}
-        while self.peek() and self.peek()[1] != "}":
+        while self.peek() not in ("}", None):
             e = self.word()
             self.expect("->")
             v = self.word()
             if e in table:
                 raise AlgebraSpecError(f"mapping {name!r}: duplicate entry for {e!r}")
             table[e] = v
-            if self.peek() and self.peek()[1] in (",", ";"):
-                self.next()
+            self.accept(",") or self.accept(";")
         self.expect("}")
         return Mapping(name, algebras[src], algebras[dst], table)
 

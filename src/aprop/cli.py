@@ -5,7 +5,8 @@ print either human-readable text (``--format human``) or stable
 machine-readable lines (``--format machine``).  Exit codes: 0 when the
 queried relation holds or all checks pass, 1 when it fails or a
 counterexample exists, 2 on usage or input errors, 3 when the clone
-exceeds ``--class-cap`` before it saturates or memory runs out.
+exceeds ``--class-cap`` before it saturates, its tables would exceed
+``clone.MAX_ROWS`` rows, or memory runs out.
 """
 
 from __future__ import annotations
@@ -58,15 +59,9 @@ def _load_algebras(paths: list[str]) -> tuple[FiniteAlgebra, FiniteAlgebra]:
     return algebras[0], algebras[-1]
 
 
-def _bounds(args) -> Bounds:
-    return Bounds(
-        max_depth=args.max_depth, max_vars=args.max_vars, class_cap=args.class_cap
-    )
-
-
 def _context(args) -> PairContext:
     alg_a, alg_b = _load_algebras(args.algebra)
-    return build_pair_context(alg_a, alg_b, _bounds(args))
+    return build_pair_context(alg_a, alg_b, args.bounds)
 
 
 def _frameworks(args) -> list[str]:
@@ -181,13 +176,12 @@ def cmd_iso(args) -> int:
     if args.mapping not in spec.mappings:
         raise AlgebraSpecError(f"no mapping named {args.mapping!r} in {args.spec}")
     h = spec.mappings[args.mapping]
-    bounds = _bounds(args)
     reports = [
-        check_isomorphism_lemma(h, bounds),
-        check_first_iso_theorem(h, bounds, args.competitors),
+        check_isomorphism_lemma(h, args.bounds),
+        check_first_iso_theorem(h, args.bounds, args.competitors),
     ]
     if is_isomorphism(h):
-        reports.append(check_second_iso_theorem(h, bounds, args.competitors))
+        reports.append(check_second_iso_theorem(h, args.bounds, args.competitors))
     status = 0
     for report in reports:
         word = "pass" if report.ok else "fail"
@@ -214,7 +208,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_vectors(args) -> int:
-    results = run_paper_vectors(bounds=_bounds(args))
+    results = run_paper_vectors(bounds=args.bounds)
     failed = 0
     for r in results:
         word = "pass" if r.passed else "fail"
@@ -238,9 +232,10 @@ def _add_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--framework", choices=[*FRAMEWORKS, "both"], default=default("sim")
     )
-    parser.add_argument("--max-depth", type=int, default=default(None))
-    parser.add_argument("--max-vars", type=int, default=default(2))
-    parser.add_argument("--class-cap", type=int, default=default(100000))
+    bounds = Bounds()
+    parser.add_argument("--max-depth", type=int, default=default(bounds.max_depth))
+    parser.add_argument("--max-vars", type=int, default=default(bounds.max_vars))
+    parser.add_argument("--class-cap", type=int, default=default(bounds.class_cap))
     parser.add_argument(
         "--competitors", choices=["literal", "all"], default=default("literal")
     )
@@ -277,9 +272,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.max_vars < 1 or args.class_cap < 1 or (
-        args.max_depth is not None and args.max_depth < 0
-    ):
+    try:
+        args.bounds = Bounds(
+            max_depth=args.max_depth, max_vars=args.max_vars, class_cap=args.class_cap
+        )
+    except ValueError:
         parser.exit(2, "aprop: bounds must be positive\n")
     try:
         return args.func(args)

@@ -39,11 +39,14 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_CAP = 100_000
+# The most rows a table may have: |U|^max_vars for each algebra.  It admits
+# the default of two variables on the largest universe, 256 elements.
+MAX_ROWS = 2**20
 
 
 class ResourceLimitError(RuntimeError):
-    """Class-count cap exceeded before saturation, or a universe too large
-    for the clone's one-byte element codes."""
+    """Class-count cap exceeded before saturation, a universe too large for
+    the clone's one-byte element codes, or tables longer than ``MAX_ROWS``."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,8 @@ class Bounds:
             raise ValueError("max_vars must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        if self.class_cap < 1:
+            raise ValueError("class_cap must be >= 1")
 
 
 @dataclass
@@ -180,10 +185,18 @@ def generate_clone(
         alg_b = alg_a
     if alg_a.language != alg_b.language:
         raise AlgebraSpecError("joint clone requires a common language")
-    for alg in (alg_a, alg_b):
-        if len(alg.universe) > 256:
-            raise ResourceLimitError(f"algebra {alg.name!r}: the clone takes at most 256 elements")
     v = bounds.max_vars
+    for alg in (alg_a, alg_b):
+        size = len(alg.universe)
+        if size > 256:
+            raise ResourceLimitError(f"algebra {alg.name!r}: the clone takes at most 256 elements")
+        # checked before any table is built; from 2 elements up, the capped
+        # exponent already exceeds MAX_ROWS, so no huge power is computed
+        if size ** min(v, MAX_ROWS.bit_length()) > MAX_ROWS:
+            raise ResourceLimitError(
+                f"algebra {alg.name!r}: {v} variables make tables of {size}^{v} rows,"
+                f" over the limit of {MAX_ROWS}"
+            )
     same = alg_b is alg_a  # then every table_b is its table_a
     # the variables' tables: columns of the assignments' codes, in product order
     columns_a, columns_b = (

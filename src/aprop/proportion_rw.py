@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
+from .similarity import is_characteristic_set
 from .terms import RewriteRule, Term
 from .verdicts import HOLDING, ArrowRelation, ProportionVerdict
 
@@ -110,15 +111,8 @@ def is_characteristic_r_justification_set(
         rels_a if alg_b is alg_a
         else [set(zip(*_tables(r.lhs, r.rhs, alg_b, r.lhs.variables()))) for r in rules]
     )
-    if not all(ar1 in ra and ar2 in rb for ra, rb in zip(rels_a, rels_b)):
-        return False
-    c, d = ar2
-    for d2 in alg_b.universe:
-        if d2 == d:
-            continue
-        if all((c, d2) in rb for rb in rels_b):
-            return False
-    return True
+    competitors = [(ar2[0], d) for d in alg_b.universe]
+    return is_characteristic_set(rels_a, rels_b, ar1, ar2, competitors)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import itertools
 
 from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
+from .similarity import is_characteristic_set
 from .terms import ArrowPattern
 from .verdicts import ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
 
@@ -84,16 +85,8 @@ def is_characteristic_justification_set(
     rels_b = (
         rels_a if ctx.alg_b is ctx.alg_a else [pattern_relation(p, ctx.alg_b) for p in patterns]
     )
-    if not all(ar1 in r for r in rels_a):
-        return False
-    if not all(ar2 in r for r in rels_b):
-        return False
-    for e in itertools.product(ctx.alg_b.universe, repeat=2):
-        if e == ar2:
-            continue
-        if all(e in r for r in rels_b):
-            return False
-    return True
+    arrows = itertools.product(ctx.alg_b.universe, repeat=2)
+    return is_characteristic_set(rels_a, rels_b, ar1, ar2, arrows)
 
 
 def solve_sim(

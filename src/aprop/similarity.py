@@ -81,13 +81,20 @@ def is_characteristic_generalization_set(
         images_a if ctx.alg_b is ctx.alg_a
         else [set(term_table(t, ctx.alg_b, t.variables())) for t in terms]
     )
-    if not all(a in ia and b in ib for ia, ib in zip(images_a, images_b)):
-        return False
-    for b2 in ctx.alg_b.universe:
-        if b2 == b:
-            continue
-        if policy == "literal" and b2 == a:
-            continue
-        if all(a in ia and b2 in ib for ia, ib in zip(images_a, images_b)):
-            return False
-    return True
+    skip = a if policy == "literal" else None
+    competitors = [e for e in ctx.alg_b.universe if e != skip]
+    return is_characteristic_set(images_a, images_b, a, b, competitors)
+
+
+def is_characteristic_set(left: list, right: list, x, y, competitors) -> bool:
+    """Whether x is in every set of ``left``, y in every set of ``right``,
+    and no competitor other than y is in every set of ``right``.
+
+    The element, arrow and rule notions differ only in their sets (term
+    images, pattern relations, rule relations) and their competitors.
+    """
+    return (
+        all(x in s for s in left)
+        and all(y in s for s in right)
+        and not any(all(e in s for s in right) for e in competitors if e != y)
+    )

@@ -6,6 +6,7 @@ and ranked function symbols.  Rank-0 symbols act as constants.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -158,68 +159,97 @@ class RewriteRule:
         return f"{self.lhs} ->> {self.rhs}"
 
 
-class _Parser:
-    def __init__(self, text: str, language: Language):
-        self.text = text
-        self.language = language
-        self.pos = 0
+class TokenCursor:
+    """A cursor over the tokens of ``text``.
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    ``pattern``'s named groups are the token kinds; a match in no named group
+    (whitespace, comments) is skipped.  A token is (kind, text, position),
+    and the last is ("end", None, len(text)).  Every error is
+    ``error(message, position)`` at the offending token's position.
+    """
 
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise TermSyntaxError("expected identifier", start)
-        return self.text[start : self.pos]
+    def __init__(self, text: str, pattern: re.Pattern, error):
+        self.error, self.i = error, 0
+        self.tokens, pos = [], 0
+        for m in pattern.finditer(text):
+            start, end = m.span()
+            if start != pos:
+                break
+            pos = end
+            if m.lastgroup is not None:
+                self.tokens.append((m.lastgroup, m[0], start))
+        if pos != len(text):
+            raise error(f"unexpected character {text[pos]!r}", pos)
+        self.tokens.append(("end", None, pos))
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise TermSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def peek(self) -> str | None:
+        """The next token's text, or None at the end of the input."""
+        return self.tokens[self.i][1]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def fail(self, message: str, token: int | None = None) -> Exception:
+        """The caller's error at token number ``token``, by default the next."""
+        return self.error(message, self.tokens[self.i if token is None else token][2])
 
-    def term(self, depth: int = 0) -> Term:
-        start = self.pos
-        name = self.ident()
-        if _is_variable_name(name):
-            return Var(int(name[1:]))
-        if name not in self.language:
-            raise TermSyntaxError(f"unknown symbol {name!r}", start)
-        rank = self.language.rank[name]
-        children: tuple[Term, ...] = ()
-        if self.peek() == "(":
-            if depth == MAX_TERM_DEPTH:
-                raise TermSyntaxError(f"term deeper than {MAX_TERM_DEPTH} levels", self.pos)
-            self.expect("(")
-            args = [self.term(depth + 1)]
-            while self.peek() == ",":
-                self.expect(",")
-                args.append(self.term(depth + 1))
-            self.expect(")")
-            children = tuple(args)
-        if len(children) != rank:
-            raise TermSyntaxError(
-                f"symbol {name!r} expects {rank} argument(s), got {len(children)}",
-                start,
-            )
-        return App(name, children)
+    def next(self) -> tuple[str, str, int]:
+        token = self.tokens[self.i]
+        if token[1] is None:
+            raise self.error("unexpected end of input", token[2])
+        self.i += 1
+        return token
+
+    def accept(self, value: str) -> bool:
+        """Consume the next token when its text is ``value``."""
+        if self.tokens[self.i][1] == value:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        kind, got, pos = self.next()
+        if got != value:
+            raise self.error(f"expected {value!r}, got {got!r}", pos)
+
+    def word(self) -> str:
+        kind, got, pos = self.tokens[self.i]
+        if kind != "word":
+            self.next()  # the end of the input is its own error
+            raise self.error(f"expected identifier, got {got!r}", pos)
+        self.i += 1
+        return got
+
+
+# Identifiers are runs of \w (what str.isalnum or "_" accepts); whitespace
+# may stand between any two tokens.
+_TERM_TOKEN = re.compile(r"\s+|(?P<word>\w+)|(?P<punct>[(),])")
+
+
+def _term(cursor: TokenCursor, ranks: dict[str, int], depth: int) -> Term:
+    start = cursor.i
+    name = cursor.word()
+    if _is_variable_name(name):
+        return Var(int(name[1:]))
+    rank = ranks.get(name)
+    if rank is None:
+        raise cursor.fail(f"unknown symbol {name!r}", start)
+    children: tuple[Term, ...] = ()
+    if cursor.accept("("):
+        if depth == MAX_TERM_DEPTH:
+            raise cursor.fail(f"term deeper than {MAX_TERM_DEPTH} levels", cursor.i - 1)
+        args = [_term(cursor, ranks, depth + 1)]
+        while cursor.accept(","):
+            args.append(_term(cursor, ranks, depth + 1))
+        cursor.expect(")")
+        children = tuple(args)
+    if len(children) != rank:
+        raise cursor.fail(
+            f"symbol {name!r} expects {rank} argument(s), got {len(children)}", start
+        )
+    return App(name, children)
 
 
 def parse_term(text: str, language: Language) -> Term:
-    parser = _Parser(text, language)
-    t = parser.term()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise TermSyntaxError("trailing input after term", parser.pos)
+    cursor = TokenCursor(text, _TERM_TOKEN, TermSyntaxError)
+    t = _term(cursor, language.rank, 0)
+    if cursor.peek() is not None:
+        raise cursor.fail("trailing input after term")
     return t

@@ -201,6 +201,36 @@ class TestErrors:
             main(["--max-vars", "0", "check", "A1", "a", "b", "a", "b"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option", [["--max-vars", "0"], ["--class-cap", "0"], ["--max-depth", "-1"]],
+        ids=["max-vars", "class-cap", "max-depth"],
+    )
+    def test_every_bound_refused_by_bounds_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*option, "check", "A1", "a", "b", "a", "b"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "aprop: bounds must be positive\n"
+
+    def test_library_refuses_a_zero_class_cap(self):
+        with pytest.raises(ValueError):
+            Bounds(class_cap=0)
+
+    def test_option_defaults_are_the_library_defaults(self):
+        import aprop.cli
+
+        args = aprop.cli._parser().parse_args(["vectors"])
+        bounds = Bounds()
+        assert (args.max_depth, args.max_vars, args.class_cap) == (
+            bounds.max_depth, bounds.max_vars, bounds.class_cap
+        )
+
+    def test_too_many_variables_is_refused_before_any_table(self, capsys):
+        code, out, err = run(capsys, "--max-vars", "64", "check", "PCOMM", "a", "a", "a", "a")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "over the limit" in err
+
     def test_class_cap_exceeded_is_its_own_outcome(self, capsys):
         code, out, err = run(capsys, "check", "--class-cap", "2", "A2", "a", "b", "a", "b")
         assert code == 3

@@ -6,7 +6,13 @@ from collections import Counter
 import pytest
 
 from aprop.algebras import FiniteAlgebra, load_algebra, term_table
-from aprop.clone import Bounds, ResourceLimitError, build_pair_context, generate_clone
+from aprop.clone import (
+    MAX_ROWS,
+    Bounds,
+    ResourceLimitError,
+    build_pair_context,
+    generate_clone,
+)
 from aprop.terms import App, Language, Term, Var, parse_term
 from aprop.verdicts import POLICIES
 from aprop.verify import (
@@ -155,6 +161,22 @@ class TestGenerateClone:
         )
         with pytest.raises(ResourceLimitError, match="at most 256 elements"):
             generate_clone(alg, bounds=Bounds(max_vars=1))
+
+    def test_tables_beyond_the_row_limit(self):
+        """2^13 rows fit and 3^13 do not, in either order of the two algebras;
+        the bound is checked before any table is built, so even 10^9
+        variables are refused at once."""
+        small, large = (
+            FiniteAlgebra(name, Language((("f", 1),)), u, {"f": {(e,): e for e in u}})
+            for name, u in (("I2", ("a", "b")), ("I3", ("a", "b", "c")))
+        )
+        assert 2**13 <= MAX_ROWS < 3**13
+        for alg_a, alg_b in ((small, large), (large, small)):
+            with pytest.raises(ResourceLimitError, match="'I3': 13 variables .* over the limit"):
+                generate_clone(alg_a, alg_b, Bounds(max_vars=13))
+        for max_vars in (64, 10**9):
+            with pytest.raises(ResourceLimitError, match="over the limit"):
+                generate_clone(small, bounds=Bounds(max_vars=max_vars))
 
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)

@@ -22,7 +22,6 @@ import itertools
 import pytest
 
 from aprop import Bounds, FiniteAlgebra, build_pair_context
-from aprop.algebras import evaluate
 from aprop.proportion_rw import proportion_rw, solve_rw
 from aprop.proportion_sim import proportion_sim, solve_sim
 from aprop.similarity import lesssim, similar
@@ -37,20 +36,18 @@ def naive_terms(A, B, max_vars=MAX_VARS) -> dict:
     """Raw terms over x0..x(v-1), one per (table on A, table on B, variable
     set), to saturation, each mapped to its two tables.
 
+    A table lists a term's values over all assignments, in product order.
+    A variable's table is its column of that order, and an application's is
+    read row by row through the op's table from its children's tables.
     Each round applies every operation to every tuple of the terms kept so
-    far; the rounds stop when one keeps nothing.  A table lists a term's
-    values over all assignments, in one order for both terms of a pair.
+    far with at least one term kept in the round before (the other tuples
+    were tried already); the rounds stop when one keeps nothing.
     """
-    assigns = [
-        [dict(enumerate(values)) for values in itertools.product(alg.universe, repeat=max_vars)]
-        for alg in (A, B)
-    ]
+    halves = (A, B)
+    columns = [list(zip(*itertools.product(alg.universe, repeat=max_vars))) for alg in halves]
     seen, pool = set(), {}
 
-    def keep(t) -> bool:
-        tables = tuple(
-            tuple(evaluate(t, alg, o) for o in os) for alg, os in zip((A, B), assigns)
-        )
+    def keep(t, tables) -> bool:
         key = (*tables, frozenset(t.variables()))
         if key in seen:
             return False
@@ -58,18 +55,32 @@ def naive_terms(A, B, max_vars=MAX_VARS) -> dict:
         pool[t] = tables
         return True
 
-    for t in [Var(i) for i in range(max_vars)] + [
-        App(sym) for sym, rank in A.language.symbols if rank == 0
-    ]:
-        keep(t)
-    while True:
+    def apply(sym, children) -> tuple:
+        """sym over (term, tables) children: the term and its two tables,
+        one op-table lookup per row."""
+        return App(sym, tuple(t for t, _ in children)), tuple(
+            tuple(map(alg.tables[sym].__getitem__, zip(*(tables[h] for _, tables in children))))
+            for h, alg in enumerate(halves)
+        )
+
+    leaves = [(Var(i), (columns[0][i], columns[1][i])) for i in range(max_vars)]
+    leaves += [
+        (App(sym), tuple((alg.tables[sym][()],) * len(alg.universe) ** max_vars for alg in halves))
+        for sym, rank in A.language.symbols if rank == 0
+    ]
+    fresh = [leaf for leaf in leaves if keep(*leaf)]
+    while fresh:
+        every = list(pool.items())
+        old = every[: len(every) - len(fresh)]
         built = [
-            App(sym, children)
-            for sym, rank in A.language.symbols if rank > 0
-            for children in itertools.product(list(pool), repeat=rank)
+            apply(sym, children)
+            for sym, rank in A.language.symbols
+            # p is the position of the first child kept in the last round
+            for p in range(rank)
+            for children in itertools.product(*[old] * p, fresh, *[every] * (rank - p - 1))
         ]
-        if not sum(map(keep, built)):
-            return pool
+        fresh = [pair for pair in built if keep(*pair)]
+    return pool
 
 
 def naive_cont(A, B, terms: dict, framework: str) -> tuple[dict, dict]:
@@ -254,12 +265,19 @@ def algebra(name: str, size: int, ops) -> FiniteAlgebra:
     )
 
 
-# Two ops each, of different sizes: a 2- against a 3-element algebra at two
-# variables, and a 5- against a 4-element chain (shift f, reflection g) at one.
+# Two ops each, of different sizes: 2- against 3-element algebras at two
+# variables (one of them Boolean against Kleene negation and meet, a unary
+# and a binary op), and a 5- against a 4-element chain (shift f, reflection
+# g) at one.
 TWO_OP_PAIRS = {
     "swap-cycle": (
         algebra("P2", 2, [("f", 1, lambda i: 1 - i), ("g", 1, lambda i: 0)]),
         algebra("Q3", 3, [("f", 1, lambda i: (i + 1) % 3), ("g", 1, lambda i: max(i - 1, 0))]),
+        2,
+    ),
+    "boolean-kleene": (
+        algebra("B2", 2, [("n", 1, lambda i: 1 - i), ("m", 2, min)]),
+        algebra("K3", 3, [("n", 1, lambda i: 2 - i), ("m", 2, min)]),
         2,
     ),
     "chain5-chain4": (
