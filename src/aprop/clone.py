@@ -42,11 +42,16 @@ DEFAULT_CLASS_CAP = 100_000
 # The most rows a table may have: |U|^max_vars for each algebra.  It admits
 # the default of two variables on the largest universe, 256 elements.
 MAX_ROWS = 2**20
+# The most (class, occurrence set) combinations one level may visit, summed
+# over the symbols.  It admits a random 3-element groupoid at two variables,
+# about 4.5 million at its largest level.
+MAX_LEVEL_WORK = 2**24
 
 
 class ResourceLimitError(RuntimeError):
     """Class-count cap exceeded before saturation, a universe too large for
-    the clone's one-byte element codes, or tables longer than ``MAX_ROWS``."""
+    the clone's one-byte element codes, tables longer than ``MAX_ROWS`` or a
+    level that would visit more than ``MAX_LEVEL_WORK`` combinations."""
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,14 @@ def generate_clone(
                 item = (key[0], key[1], sup, term, term.depth(), pos)
                 (fresh if (key, sup) in frontier_set else old).append(item)
         every = old + fresh
+        # The pools below telescope: a symbol of rank r visits |every|^r - |old|^r.
+        work = sum(len(every) ** rank - len(old) ** rank for _, rank in symbols)
+        if work > MAX_LEVEL_WORK:
+            names = repr(alg_a.name) if same else f"{alg_a.name!r} with {alg_b.name!r}"
+            raise ResourceLimitError(
+                f"algebra {names}: level {depth + 1} would visit {work} support"
+                f" combinations, over the limit of {MAX_LEVEL_WORK}"
+            )
         candidates = []
         new_keys = set()  # each becomes a class when the level commits
         for sym, rank in symbols:

@@ -1,9 +1,9 @@
 """Axiom-schema checking, regression vectors, and isomorphism transfer checks.
 
-The twelve axiom schemata are checked as queries over the proportion
-relation of each context side, decided once as a table: the schemata of at
-most three variables by their statement, read bit by bit, and the four- and
-six-variable schemata by joins of its rows.  Cross-universe
+The twelve axiom schemata are checked as joins of the rows of the proportion
+relation of each context side, decided once as a table: a statement of at
+most three variables reads its rows bit by bit.  The isomorphism checks read
+the same tables and arrow codes.  Cross-universe
 membership conditions (a in A intersect B and the like) match elements by
 name.  Vector files pin expected verdicts for the bundled algebras; a
 mismatch is reported, never silently adjusted.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from itertools import product
 from typing import NamedTuple
@@ -30,9 +29,9 @@ from .algebras import (
 )
 from .clone import Bounds, PairContext, build_pair_context
 from .proportion_rw import RW, proportion_rw, solve_rw
-from .proportion_sim import SIM, arrow_lesssim, proportion_sim, solve_sim
+from .proportion_sim import SIM, proportion_sim, solve_sim
 from .terms import Language
-from .verdicts import ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
+from .verdicts import HOLDING, ArrowRelation, CompetitorPolicy, ProportionVerdict, check_policy
 
 __all__ = [
     "Framework",
@@ -94,31 +93,50 @@ FRAMEWORKS: dict[str, Framework] = {
 
 @dataclass(frozen=True)
 class AxiomSchema:
-    """One of the twelve proportional axioms, stated in full.
+    """One of the twelve proportional axioms, stated in full as a join.
 
-    A schema of at most three variables carries its statement.
-    ``instances(A, B, S)`` enumerates the element tuples of the statement
-    from the universes of A and B and their shared elements S.
-    ``violated(p, ab, ba, *xs)`` tells whether the tuple ``xs`` is a
-    counterexample, where ``p(side, q)`` reads q from the table of ``side``:
-    the (A, B) context ``ab`` or ``ba = ab.swapped()`` on (B, A), which is
-    ``ab`` itself on one algebra.  A schema of four or six variables carries a
-    ``join`` instead: ``join(rows, A, B, mirror=None)`` gives the first
-    counterexample of its statement, or None, and the instances the
-    short-circuit enumeration of the statement evaluates up to it, from the
-    table ``rows`` of the (A, B) side (see ``ArrowRelation.table``).  Only
-    p-symmetry's join reads ``mirror``, the table of the (B, A) side, which
-    is ``rows`` when None (one algebra); ``mirrored`` marks it, and
-    ``check_axiom`` builds that table for it only.  Schemata over one or
-    three algebras are read with A = B (and C = B).
+    ``join(rows, A, B, mirror=None)`` gives the first counterexample of the
+    statement, or None, and the instances the short-circuit enumeration of
+    the statement evaluates up to it, from the table ``rows`` of the (A, B)
+    side (see ``ArrowRelation.table``).  A statement of at most three
+    variables becomes a join through ``_statement``; the schemata of four or
+    six variables join rows.  Only p-symmetry's join reads ``mirror``, the
+    table of the (B, A) side, which is ``rows`` when None (one algebra);
+    ``mirrored`` marks it, and ``check_axiom`` builds that table for it only.
+    Schemata over one or three algebras are read with A = B (and C = B).
     """
 
     name: str
     context_arity: int
-    instances: Callable[..., Iterable[tuple[Element, ...]]] | None = None
-    violated: Callable[..., bool] | None = None
-    join: Callable[..., tuple[tuple[Element, ...] | None, int]] | None = None
+    join: Callable[..., tuple[tuple[Element, ...] | None, int]]
     mirrored: bool = False
+
+
+def _statement(
+    instances: Callable[..., Iterable[tuple[Element, ...]]],
+    violated: Callable[..., bool],
+) -> Callable[..., tuple[tuple[Element, ...] | None, int]]:
+    """A statement as a join.  ``instances(A, B, S)`` enumerates its element
+    tuples from the universes of A and B and their shared elements S, and
+    ``violated(p, *xs)`` tells whether ``xs`` is a counterexample, where
+    ``p(q)`` reads the bit of the quadruple q from ``rows``; each read counts."""
+
+    def join(rows, A, B, mirror=None):
+        nA, nB, reads = len(A), len(B), 0
+        index_a = dict(zip(A, range(nA)))
+        index_b = index_a if B is A else dict(zip(B, range(nB)))
+
+        def p(q: Quadruple) -> bool:
+            nonlocal reads
+            reads += 1
+            a, b, c, d = q
+            return rows[index_a[a] * nA + index_a[b]] >> index_b[c] * nB + index_b[d] & 1 == 1
+
+        shared = tuple(e for e in A if e in index_b)
+        ce = next((xs for xs in instances(A, B, shared) if violated(p, *xs)), None)
+        return ce, reads
+
+    return join
 
 
 def _ones(mask: int):
@@ -270,33 +288,27 @@ def _central_transitivity_join(rows, A, B, mirror=None):
 AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
     s.name: s
     for s in (
-        AxiomSchema(
-            "p-reflexivity", 1, lambda A, B, S: product(A, repeat=2),
-            lambda p, ab, ba, a, b: not p(ab, (a, b, a, b)),
-        ),
+        AxiomSchema("p-reflexivity", 1, _statement(
+            lambda A, B, S: product(A, repeat=2), lambda p, a, b: not p((a, b, a, b)),
+        )),
         AxiomSchema("p-symmetry", 2, join=_symmetry_join, mirrored=True),
         AxiomSchema("inner-p-symmetry", 2, join=_inner_symmetry_join),
-        AxiomSchema(
-            "p-determinism", 1, lambda A, B, S: product(A, repeat=2),
-            lambda p, ab, ba, a, d: p(ab, (a, a, a, d)) != (d == a),
-        ),
-        AxiomSchema(
-            "inner-p-reflexivity", 2, lambda A, B, S: product(A, B),
-            lambda p, ab, ba, a, c: not p(ab, (a, a, c, c)),
-        ),
+        AxiomSchema("p-determinism", 1, _statement(
+            lambda A, B, S: product(A, repeat=2), lambda p, a, d: p((a, a, a, d)) != (d == a),
+        )),
+        AxiomSchema("inner-p-reflexivity", 2, _statement(
+            lambda A, B, S: product(A, B), lambda p, a, c: not p((a, a, c, c)),
+        )),
         AxiomSchema("central-permutation", 1, join=_central_permutation_join),
-        AxiomSchema(
-            "strong-inner-p-reflexivity", 1, lambda A, B, S: product(A, repeat=3),
-            lambda p, ab, ba, a, c, d: d != c and p(ab, (a, a, c, d)),
-        ),
-        AxiomSchema(
-            "strong-p-reflexivity", 1, lambda A, B, S: product(A, repeat=3),
-            lambda p, ab, ba, a, b, d: d != b and p(ab, (a, b, a, d)),
-        ),
-        AxiomSchema(
-            "p-commutativity", 2, lambda A, B, S: product(S, repeat=2),
-            lambda p, ab, ba, a, b: not p(ab, (a, b, b, a)),
-        ),
+        AxiomSchema("strong-inner-p-reflexivity", 1, _statement(
+            lambda A, B, S: product(A, repeat=3), lambda p, a, c, d: d != c and p((a, a, c, d)),
+        )),
+        AxiomSchema("strong-p-reflexivity", 1, _statement(
+            lambda A, B, S: product(A, repeat=3), lambda p, a, b, d: d != b and p((a, b, a, d)),
+        )),
+        AxiomSchema("p-commutativity", 2, _statement(
+            lambda A, B, S: product(S, repeat=2), lambda p, a, b: not p((a, b, b, a)),
+        )),
         AxiomSchema("p-transitivity", 3, join=_transitivity_join),
         # enumerated in the order (a, b, e, c, d, f), reported as (a, ..., f)
         AxiomSchema("inner-p-transitivity", 2, join=_inner_transitivity_join),
@@ -339,14 +351,13 @@ def check_axiom(
     first counterexample in enumeration order.
 
     Schemata over one or three algebras need A = B: one universe, one set of tables.
-    The schema is a query over the table of ``ctx``, taken before it
-    enumerates or joins, and over that of ``ctx.swapped()`` (``ctx`` itself on
-    one algebra), taken for p-symmetry's join or a statement's first read of
-    it: each quadruple is decided once per context, relation and policy; no
-    verdict is built.
+    The schema is a join of the table of ``ctx`` and, for p-symmetry only,
+    that of ``ctx.swapped()`` (``ctx`` itself on one algebra): each quadruple
+    is decided once per context, relation and policy; no verdict is built.
     ``instances`` counts the proportion evaluations the short-circuit
     enumeration of the statement makes up to its first counterexample,
-    repeats included: a statement counts its reads, a join derives the count.
+    repeats included: a statement counts its reads, a join of rows derives
+    the count.
     """
     if name not in AXIOM_SCHEMATA:
         raise ValueError(f"unknown axiom {name!r}")
@@ -358,23 +369,9 @@ def check_axiom(
             f" {ctx.alg_b.name} differ in their universes or tables"
         )
     relation = _arrows(framework, policy)
-    if schema.join is not None:
-        rows = relation.table(ctx, policy)
-        mirror = relation.table(ctx.swapped(), policy) if schema.mirrored else None
-        ce, instances = schema.join(rows, A, B, mirror)
-    else:
-        ba, instances = ctx.swapped(), 0
-        here = relation.bit(ctx, policy)
-
-        def p(side: PairContext, q: Quadruple) -> bool:
-            # no bundled statement reads ba, whose table is built on its first read
-            nonlocal instances
-            instances += 1
-            return (here if side is ctx else relation.bit(side, policy))(*q)
-
-        violated = partial(schema.violated, p, ctx, ba)
-        tuples = schema.instances(A, B, tuple(e for e in A if e in ctx.alg_b.index))
-        ce = next((xs for xs in tuples if violated(*xs)), None)
+    rows = relation.table(ctx, policy)
+    mirror = relation.table(ctx.swapped(), policy) if schema.mirrored else None
+    ce, instances = schema.join(rows, A, B, mirror)
     return CheckReport(
         schema=name,
         framework=framework,
@@ -541,6 +538,7 @@ def check_first_iso_theorem(
     iso = is_isomorphism(h)
     ctx = build_pair_context(h.source, h.target, bounds or Bounds())
     cont_a, cont_b = ctx.cont_masks, ctx.swapped().cont_masks
+    holds = SIM.decider(ctx, policy)
     violations = []
     instances = 0
     for a, b in product(h.source.universe, repeat=2):
@@ -548,11 +546,11 @@ def check_first_iso_theorem(
         premise = bool(cont_a[(a, b)]) or not cont_b[image]
         if premise:
             instances += 1
-            if not arrow_lesssim((a, b), image, ctx, policy):
+            if SIM.code((a, b), image, ctx, policy)[0] not in HOLDING:
                 violations.append(f"{a}->{b} not below {image[0]}->{image[1]}")
         if iso:
             instances += 1
-            if not proportion_sim(a, b, *image, ctx, policy):
+            if not holds((a, b, *image)):
                 violations.append(f"{a}:{b} not proportional to {image[0]}:{image[1]}")
     return IsoReport(
         h.name, "first-iso-theorem", not violations, tuple(violations),
@@ -571,14 +569,13 @@ def check_second_iso_theorem(
     b = bounds or Bounds()
     ctx_a = build_pair_context(h.source, bounds=b)
     ctx_b = build_pair_context(h.target, bounds=b)
+    here, there = SIM.bit(ctx_a, policy), SIM.bit(ctx_b, policy)
     violations = []
     instances = 0
     for q in product(h.source.universe, repeat=4):
         instances += 1
         image = tuple(h(e) for e in q)
-        if bool(proportion_sim(*q, ctx_a, policy)) != bool(
-            proportion_sim(*image, ctx_b, policy)
-        ):
+        if here(*q) != there(*image):
             violations.append(f"verdict differs on {q} vs {image}")
     return IsoReport(
         h.name, "second-iso-theorem", not violations, tuple(violations),

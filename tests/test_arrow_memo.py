@@ -24,6 +24,7 @@ from aprop.verify import (
     AXIOM_SCHEMATA,
     FRAMEWORKS,
     AxiomSchema,
+    _statement,
     bundled_algebra,
     bundled_algebra_names,
     check_axiom,
@@ -210,33 +211,36 @@ def test_a_sweep_decides_each_quadruple_once(name, decider_calls):
     assert decider_calls == []
 
 
-def test_check_axiom_keeps_the_two_sides_apart(monkeypatch):
-    """On (P, Q) and its mirror (Q, P) one quadruple has two verdicts; a
-    probe schema asks for both, twice, and gets those of the verdict path."""
+def test_a_statement_reads_one_bit_of_its_side_per_read(monkeypatch):
+    """A probe statement built by ``_statement`` reads each quadruple of
+    A x A x B x B four times, on (P, Q) and on its mirror (Q, P): 64 reads,
+    each the verdict of its quadruple on the side checked.  On these two
+    constant maps no relation is invariant under a:b to b:a or c:d to d:c,
+    so a read of a misplaced bit shows."""
     spec = parse_spec_file(
-        "algebra P { universe: a, b; op f/1: a -> b, b -> a; }"
-        "algebra Q { universe: a, b; op f/1: a -> a, b -> b; }"
+        "algebra P { universe: a, b; op f/1: a -> a, b -> a; }"
+        "algebra Q { universe: a, b; op f/1: a -> b, b -> b; }"
     )
     ctx = build_pair_context(spec.algebras["P"], spec.algebras["Q"])
     answers = []
 
-    def probe(p, ab, ba, *q):
-        answers.extend((side, q, p(side, q)) for side in (ab, ba))
+    def probe(p, *q):
+        answers.append((q, p(q)))
         return False
 
     def instances(A, B, S):
-        return [*itertools.product(A, A, B, B)] * 2
+        return [*itertools.product(A, A, B, B)] * 4
 
-    monkeypatch.setitem(AXIOM_SCHEMATA, "probe", AxiomSchema("probe", 2, instances, probe))
-    for framework, fw in FRAMEWORKS.items():
-        for policy in POLICIES:
-            answers.clear()
-            assert check_axiom("probe", ctx, framework, policy).instances == 64
-            assert len(answers) == 64
-            for side, q, got in answers:
-                assert got == bool(fw.decide(q, side, policy))
-            sides = {q: got for side, q, got in answers if side is ctx}
-            assert any(sides[q] != got for side, q, got in answers if side is not ctx)
+    schema = AxiomSchema("probe", 2, _statement(instances, probe))
+    monkeypatch.setitem(AXIOM_SCHEMATA, "probe", schema)
+    for side, (framework, fw), policy in itertools.product(
+        (ctx, ctx.swapped()), FRAMEWORKS.items(), POLICIES
+    ):
+        answers.clear()
+        assert check_axiom("probe", side, framework, policy).instances == 64
+        assert len(answers) == 64
+        for q, got in answers:
+            assert got == bool(fw.decide(q, side, policy))
 
 
 def quotient_pairs() -> dict:

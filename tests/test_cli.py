@@ -1,12 +1,13 @@
 import itertools
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from aprop.cli import main
-from aprop.clone import Bounds, build_pair_context
+from aprop.clone import MAX_LEVEL_WORK, Bounds, build_pair_context
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
@@ -236,6 +237,29 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error: class cap 2 exceeded")
+
+    def test_a_level_beyond_the_work_limit_is_refused_before_its_loop(self, tmp_path):
+        """One element and one binary op: one class and one row at any
+        --max-vars, but 2^v - 1 supports, so neither the class cap nor
+        MAX_ROWS fires.  At 20 variables level 3 would visit 6195^2 - 210^2
+        support combinations.  The child runs under an address-space limit
+        and a timeout, so a regression fails the test, not the machine."""
+        path = tmp_path / "O.alg"
+        path.write_text("algebra O { universe: o; op p/2: (o,o) -> o; }\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "aprop.cli", "--max-vars", "20", "axioms", str(path)],
+            env=env, capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra 'O': level 3 would visit {6195**2 - 210**2} support"
+            f" combinations, over the limit of {MAX_LEVEL_WORK}\n"
+        )
 
     def test_out_of_memory_is_its_own_outcome(self, capsys, monkeypatch):
         import aprop.cli

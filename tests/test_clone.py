@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import aprop.clone
 from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import (
     MAX_ROWS,
@@ -177,6 +178,25 @@ class TestGenerateClone:
         for max_vars in (64, 10**9):
             with pytest.raises(ResourceLimitError, match="over the limit"):
                 generate_clone(small, bounds=Bounds(max_vars=max_vars))
+
+    def test_a_level_beyond_the_work_limit(self, monkeypatch):
+        """A level's work, |every|^rank - |old|^rank summed over the symbols,
+        is known before its loop.  One binary op on one element at 20
+        variables: level 1 visits 20^2 combinations and level 2 210^2 - 20^2;
+        a limit of 400 admits level 1 only, on one algebra or two."""
+        ops = {"p": {("o", "o"): "o"}}
+        one, other = (
+            FiniteAlgebra(name, Language((("p", 2),)), ("o",), ops) for name in ("O", "P")
+        )
+        for limit, level, work in ((399, 1, 400), (400, 2, 210**2 - 20**2)):
+            monkeypatch.setattr(aprop.clone, "MAX_LEVEL_WORK", limit)
+            for alg_b, names in ((one, "'O'"), (other, "'O' with 'P'")):
+                with pytest.raises(ResourceLimitError) as raised:
+                    generate_clone(one, alg_b, Bounds(max_vars=20))
+                assert str(raised.value) == (
+                    f"algebra {names}: level {level} would visit {work} support"
+                    f" combinations, over the limit of {limit}"
+                )
 
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)
