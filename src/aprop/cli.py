@@ -21,7 +21,7 @@ from .algebras import AlgebraSpecError, FiniteAlgebra, is_isomorphism, parse_spe
 from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
 from .similarity import similar
 from .terms import TermSyntaxError
-from .verdicts import ProportionVerdict
+from .verdicts import POLICIES, ProportionVerdict
 from .verify import (
     AXIOM_SCHEMATA,
     FRAMEWORKS,
@@ -237,9 +237,7 @@ def _add_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--max-depth", type=int, default=default(bounds.max_depth))
     parser.add_argument("--max-vars", type=int, default=default(bounds.max_vars))
     parser.add_argument("--class-cap", type=int, default=default(bounds.class_cap))
-    parser.add_argument(
-        "--competitors", choices=["literal", "all"], default=default("literal")
-    )
+    parser.add_argument("--competitors", choices=POLICIES, default=default("literal"))
     parser.add_argument("--format", choices=["human", "machine"], default=default("human"))
 
 

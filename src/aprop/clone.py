@@ -102,8 +102,9 @@ class DenotationClass:
 
 
 class LevelStats(NamedTuple):
-    """One level of a clone build: the candidate terms it committed, the
-    classes and (class, occurrence set) supports they added, and its CPU time."""
+    """One level of a clone build: the terms offered to its slots after
+    pruning, the classes and (class, occurrence set) supports it added, and
+    its CPU time."""
 
     candidates: int
     new_classes: int
@@ -181,9 +182,12 @@ def generate_clone(
 ) -> CloneResult:
     """Enumerate joint denotation classes by depth levels to a fixpoint.
 
-    Saturation means one full level added no new (table, occurrence set)
-    combination; the class set is then closed under every operation of the
-    language and represents the full term universe over v variables.
+    A slot is a (class, occurrence set) pair.  A level keeps only the least
+    term offered to each slot, then commits its slots smallest term first; a
+    known slot keeps the smaller of its witness and the offer.  Saturation
+    means one full level added no new slot; the class set is then closed
+    under every operation of the language and represents the full term
+    universe over v variables.
     """
     start = time.process_time()
     if alg_b is None:
@@ -191,6 +195,8 @@ def generate_clone(
     if alg_a.language != alg_b.language:
         raise AlgebraSpecError("joint clone requires a common language")
     v = bounds.max_vars
+    same = alg_b is alg_a  # then every table_b is its table_a
+    names = repr(alg_a.name) if same else f"{alg_a.name!r} with {alg_b.name!r}"
     for alg in (alg_a, alg_b):
         size = len(alg.universe)
         if size > 256:
@@ -202,7 +208,6 @@ def generate_clone(
                 f"algebra {alg.name!r}: {v} variables make tables of {size}^{v} rows,"
                 f" over the limit of {MAX_ROWS}"
             )
-    same = alg_b is alg_a  # then every table_b is its table_a
     # the variables' tables: columns of the assignments' codes, in product order
     columns_a, columns_b = (
         list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
@@ -216,65 +221,73 @@ def generate_clone(
     levels: list[LevelStats] = []
 
     def exceeded(depth: int) -> ResourceLimitError:
-        return ResourceLimitError(f"class cap {bounds.class_cap} exceeded at depth {depth}")
+        return ResourceLimitError(
+            f"class cap {bounds.class_cap} exceeded at depth {depth} on algebra {names}"
+        )
 
-    def record(table_a, table_b, support: frozenset[int], term: Term, depth: int) -> bool:
-        """Record a term; True when its (table, occurrence set) is new."""
-        key = (table_a, table_b)
-        cls = classes.get(key)
-        if cls is None:
-            classes[key] = DenotationClass(table_a, table_b, depth, {support: term})
-            return True
-        known = cls.witnesses.get(support)
-        if known is None:
-            cls.witnesses[support] = term
-            return True
-        if term.key < known.key:
-            cls.witnesses[support] = term
-        return False
+    def offer(least: dict, slot: tuple, term: Term) -> None:
+        """Keep ``term`` when it is the least offered to its slot this level."""
+        best = least.get(slot)
+        if best is None or term.key < best.key:
+            least[slot] = term
 
-    # expansion items: (class key, occurrence set)
-    frontier: list[tuple[tuple, frozenset[int]]] = []
-    for i in range(v):
-        ta, tb = columns_a[i], columns_b[i]
-        record(ta, tb, frozenset([i]), Var(i), 0)
-        frontier.append(((ta, tb), frozenset([i])))
+    def commit(least: dict, depth: int) -> set:
+        """Record each slot's least term, smallest first; return the new slots."""
+        new = set()
+        for slot, term in sorted(least.items(), key=lambda item: item[1].key):
+            key, support = slot
+            if key not in classes:
+                classes[key] = DenotationClass(*key, depth)
+            witnesses = classes[key].witnesses
+            known = witnesses.get(support)
+            if known is None:
+                new.add(slot)
+            if known is None or term.key < known.key:
+                witnesses[support] = term
+        return new
+
+    # Level 0: the variables and the constants.
+    least = {((columns_a[i], columns_b[i]), frozenset([i])): Var(i) for i in range(v)}
     constants = [sym for sym, rank in alg_a.language.symbols if rank == 0]
     for sym in constants:
         ta = bytes([alg_a.index[alg_a.apply(sym, ())]]) * len(columns_a[0])
         tb = ta if same else bytes([alg_b.index[alg_b.apply(sym, ())]]) * len(columns_b[0])
-        if record(ta, tb, frozenset(), App(sym), 0):
-            frontier.append(((ta, tb), frozenset()))
-    if len(classes) > bounds.class_cap:
-        raise exceeded(0)
-    levels.append(
-        LevelStats(v + len(constants), len(classes), len(frontier), time.process_time() - start)
-    )
+        offer(least, ((ta, tb), frozenset()), App(sym))
+    offered = v + len(constants)
 
-    depth = 0
-    saturated = False
+    depth, saturated = 0, False
     while True:
+        known_classes = len(classes)
+        frontier = commit(least, depth)
+        # Later levels are refused while they are enumerated, before this.
+        if len(classes) > bounds.class_cap:
+            raise exceeded(depth)
+        levels.append(LevelStats(
+            offered, len(classes) - known_classes, len(frontier), time.process_time() - start
+        ))
+        if not frontier:
+            saturated = True
+            depth -= 1
+            break
         if bounds.max_depth is not None and depth >= bounds.max_depth:
             break
-        start, known_classes = time.process_time(), len(classes)
+        start = time.process_time()
         # Each child is (table_a, table_b, occurrence set, witness, depth,
         # class position), read before this level commits anything.
-        frontier_set = set(frontier)
         fresh, old = [], []
         for pos, (key, cls) in enumerate(classes.items()):
             for sup, term in cls.witnesses.items():
                 item = (key[0], key[1], sup, term, term.depth(), pos)
-                (fresh if (key, sup) in frontier_set else old).append(item)
+                (fresh if (key, sup) in frontier else old).append(item)
         every = old + fresh
         # The pools below telescope: a symbol of rank r visits |every|^r - |old|^r.
         work = sum(len(every) ** rank - len(old) ** rank for _, rank in symbols)
         if work > MAX_LEVEL_WORK:
-            names = repr(alg_a.name) if same else f"{alg_a.name!r} with {alg_b.name!r}"
             raise ResourceLimitError(
                 f"algebra {names}: level {depth + 1} would visit {work} support"
                 f" combinations, over the limit of {MAX_LEVEL_WORK}"
             )
-        candidates = []
+        least, offered = {}, 0
         new_keys = set()  # each becomes a class when the level commits
         for sym, rank in symbols:
             op_a, op_b = ops_a[sym], ops_b[sym]
@@ -307,23 +320,9 @@ def generate_clone(
                         known = cls.witnesses.get(support)
                         if known is not None and known.depth() <= max(depths):
                             continue
-                    candidates.append((App(sym, children), *key, support))
+                    offered += 1
+                    offer(least, (key, support), App(sym, children))
         depth += 1
-        # deterministic commit order: smallest witness first (keys are unique)
-        candidates.sort(key=lambda c: c[0].key)
-        new_frontier: list[tuple[tuple, frozenset[int]]] = []
-        for term, table_a, table_b, support in candidates:
-            if record(table_a, table_b, support, term, depth):
-                new_frontier.append(((table_a, table_b), support))
-        levels.append(LevelStats(
-            len(candidates), len(classes) - known_classes, len(new_frontier),
-            time.process_time() - start,
-        ))
-        if not new_frontier:
-            saturated = True
-            depth -= 1
-            break
-        frontier = new_frontier
 
     # Decoded once, here: a class's tables leave the build as element tuples.
     for c in classes.values():

@@ -237,6 +237,7 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error: class cap 2 exceeded")
+        assert "on algebra 'A2'" in err
 
     def test_a_level_beyond_the_work_limit_is_refused_before_its_loop(self, tmp_path):
         """One element and one binary op: one class and one row at any

@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+import weakref
 from collections import Counter
 
 import pytest
@@ -121,8 +122,9 @@ class TestGenerateClone:
 
     def test_class_cap(self):
         alg = bundled_algebra("PTRANS")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as raised:
             generate_clone(alg, bounds=Bounds(max_vars=2, class_cap=3))
+        assert str(raised.value) == "class cap 3 exceeded at depth 1 on algebra 'PTRANS'"
 
     def test_class_cap_stops_the_level_early(self, monkeypatch):
         import aprop.clone
@@ -197,6 +199,31 @@ class TestGenerateClone:
                     f"algebra {names}: level {level} would visit {work} support"
                     f" combinations, over the limit of {limit}"
                 )
+
+    def test_a_level_holds_one_term_per_slot(self, monkeypatch):
+        """A level keeps only the least term offered to each (class,
+        occurrence set) slot.  One binary op on one element at 8 variables:
+        one class and 2^8 - 1 supports, while level 3 offers 19,110 terms.
+        Every term the build makes is counted while it is alive."""
+        live = Counter()
+
+        def release():
+            live["now"] -= 1
+
+        def counting_app(*args):
+            term = App(*args)
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(term, release).atexit = False
+            return term
+
+        monkeypatch.setattr(aprop.clone, "App", counting_app)
+        one = FiniteAlgebra("O", Language((("p", 2),)), ("o",), {"p": {("o", "o"): "o"}})
+        result = generate_clone(one, bounds=Bounds(max_vars=8))
+        supports = sum(level.new_supports for level in result.levels)
+        assert result.saturated and supports == 2**8 - 1
+        assert result.levels[3].candidates == 19_110
+        assert live["peak"] <= 2 * supports
 
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)
