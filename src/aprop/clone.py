@@ -46,12 +46,16 @@ MAX_ROWS = 2**20
 # over the symbols.  It admits a random 3-element groupoid at two variables,
 # about 4.5 million at its largest level.
 MAX_LEVEL_WORK = 2**24
+# The most class pairs the relation grouping may visit, |classes|^2.  It
+# admits CS6 (a 6-cycle and a shift) at two variables, about 30 million.
+MAX_GROUP_PAIRS = 2**25
 
 
 class ResourceLimitError(RuntimeError):
     """Class-count cap exceeded before saturation, a universe too large for
-    the clone's one-byte element codes, tables longer than ``MAX_ROWS`` or a
-    level that would visit more than ``MAX_LEVEL_WORK`` combinations."""
+    the clone's one-byte element codes, tables longer than ``MAX_ROWS``, a
+    level that would visit more than ``MAX_LEVEL_WORK`` combinations or a
+    grouping that would visit more than ``MAX_GROUP_PAIRS`` class pairs."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,10 @@ def _apply(op: tuple[int, int, bytes], tables: tuple[bytes, ...]) -> bytes:
     Horner's rule over the children, one int of lanes each, leaves each row's
     combined index in its lane; it stays below |U|^rank, which the lane
     holds, so no row carries into the next.  The indexes are then read back
-    and mapped through the op's codes.
+    and mapped through the op's codes.  A clone level passes a whole run at
+    once: each head child's table repeated once per last child, then the
+    last children's tables concatenated; the result is every application of
+    the run, concatenated in the same order.
     """
     size, width, codes = op
     total = 0
@@ -173,6 +180,11 @@ def _apply(op: tuple[int, int, bytes], tables: tuple[bytes, ...]) -> bytes:
     if width == 1:
         return lanes.translate(codes)
     return bytes(map(codes.__getitem__, memoryview(lanes).cast(_FORMAT[width])))
+
+
+def _names(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> str:
+    """The algebras of a build, as its refusals name them."""
+    return repr(alg_a.name) if alg_b is alg_a else f"{alg_a.name!r} with {alg_b.name!r}"
 
 
 def generate_clone(
@@ -188,6 +200,14 @@ def generate_clone(
     means one full level added no new slot; the class set is then closed
     under every operation of the language and represents the full term
     universe over v variables.
+
+    A level visits each tuple of child classes that holds a fresh support
+    once: the first class with one sits at position p, and only classes
+    without one come before it.  The head classes (all but the last) are
+    taken in product order, and each head tuple is one run: one ``_apply``
+    gives its results with every class of the last pool, and only that
+    run's results are held.  A slot keeps (term key, symbol, children); the
+    term itself is built when it commits.
     """
     start = time.process_time()
     if alg_b is None:
@@ -196,7 +216,7 @@ def generate_clone(
         raise AlgebraSpecError("joint clone requires a common language")
     v = bounds.max_vars
     same = alg_b is alg_a  # then every table_b is its table_a
-    names = repr(alg_a.name) if same else f"{alg_a.name!r} with {alg_b.name!r}"
+    names = _names(alg_a, alg_b)
     for alg in (alg_a, alg_b):
         size = len(alg.universe)
         if size > 256:
@@ -213,47 +233,69 @@ def generate_clone(
         list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
         for alg in (alg_a, alg_b)
     )
+    rows_a, rows_b = len(columns_a[0]), len(columns_b[0])
     symbols = [(sym, rank) for sym, rank in alg_a.language.symbols if rank > 0]
     ops_a = {sym: _op_lanes(alg_a, sym, rank) for sym, rank in symbols}
     ops_b = ops_a if same else {sym: _op_lanes(alg_b, sym, rank) for sym, rank in symbols}
 
-    classes: dict[tuple, DenotationClass] = {}
+    # A class's key is its table_a, followed by its table_b on two algebras.
+    classes: dict[bytes, DenotationClass] = {}
+    # key -> {occurrence set: its witness's depth}, what pruning reads
+    depths: dict[bytes, dict[frozenset[int], int]] = {}
     levels: list[LevelStats] = []
+    # One object per occurrence set, so that dict lookups compare identities.
+    occurrence_sets: dict[frozenset[int], frozenset[int]] = {}
+
+    def interned(support: frozenset[int]) -> frozenset[int]:
+        return occurrence_sets.setdefault(support, support)
 
     def exceeded(depth: int) -> ResourceLimitError:
         return ResourceLimitError(
             f"class cap {bounds.class_cap} exceeded at depth {depth} on algebra {names}"
         )
 
-    def offer(least: dict, slot: tuple, term: Term) -> None:
-        """Keep ``term`` when it is the least offered to its slot this level."""
-        best = least.get(slot)
-        if best is None or term.key < best.key:
-            least[slot] = term
-
     def commit(least: dict, depth: int) -> set:
-        """Record each slot's least term, smallest first; return the new slots."""
+        """Record each slot's least term, smallest first; return the new slots.
+
+        A slot (key, occurrence set) holds (term key, symbol, children), or
+        at level 0 (term key, term, None).
+        """
         new = set()
-        for slot, term in sorted(least.items(), key=lambda item: item[1].key):
+        for slot, (term_key, sym, children) in sorted(least.items(), key=lambda item: item[1][0]):
             key, support = slot
-            if key not in classes:
-                classes[key] = DenotationClass(*key, depth)
-            witnesses = classes[key].witnesses
-            known = witnesses.get(support)
+            cls = classes.get(key)
+            if cls is None:
+                table_a = key[:rows_a]
+                cls = classes[key] = DenotationClass(
+                    table_a, table_a if same else key[rows_a:], depth
+                )
+                depths[key] = {}
+            known = cls.witnesses.get(support)
             if known is None:
                 new.add(slot)
-            if known is None or term.key < known.key:
-                witnesses[support] = term
+            if known is None or term_key < known.key:
+                if children is None:
+                    term = sym
+                else:  # its key, kept as Term.key keeps it once read
+                    term = App(sym, children)
+                    vars(term)["key"] = term_key
+                cls.witnesses[support] = term
+                depths[key][support] = term_key[0]
         return new
 
     # Level 0: the variables and the constants.
-    least = {((columns_a[i], columns_b[i]), frozenset([i])): Var(i) for i in range(v)}
-    constants = [sym for sym, rank in alg_a.language.symbols if rank == 0]
-    for sym in constants:
-        ta = bytes([alg_a.index[alg_a.apply(sym, ())]]) * len(columns_a[0])
-        tb = ta if same else bytes([alg_b.index[alg_b.apply(sym, ())]]) * len(columns_b[0])
-        offer(least, ((ta, tb), frozenset()), App(sym))
-    offered = v + len(constants)
+    least: dict = {}
+    offers = [(Var(i), columns_a[i], columns_b[i], interned(frozenset([i]))) for i in range(v)]
+    for sym, rank in alg_a.language.symbols:
+        if rank == 0:
+            code_a = bytes([alg_a.index[alg_a.apply(sym, ())]])
+            code_b = code_a if same else bytes([alg_b.index[alg_b.apply(sym, ())]])
+            offers.append((App(sym), code_a * rows_a, code_b * rows_b, interned(frozenset())))
+    for term, table_a, table_b, support in offers:
+        slot = (table_a if same else table_a + table_b, support)
+        if slot not in least or term.key < least[slot][0]:
+            least[slot] = (term.key, term, None)
+    offered = len(offers)
 
     depth, saturated = 0, False
     while True:
@@ -272,16 +314,23 @@ def generate_clone(
         if bounds.max_depth is not None and depth >= bounds.max_depth:
             break
         start = time.process_time()
-        # Each child is (table_a, table_b, occurrence set, witness, depth,
-        # class position), read before this level commits anything.
-        fresh, old = [], []
-        for pos, (key, cls) in enumerate(classes.items()):
-            for sup, term in cls.witnesses.items():
-                item = (key[0], key[1], sup, term, term.depth(), pos)
-                (fresh if (key, sup) in frontier else old).append(item)
-        every = old + fresh
-        # The pools below telescope: a symbol of rank r visits |every|^r - |old|^r.
-        work = sum(len(every) ** rank - len(old) ** rank for _, rank in symbols)
+        # Each class as this level reads it, before it commits anything:
+        # (table_a, table_b, children), a child being (occurrence set,
+        # depth, string, witness, fresh).  A fresh child is a new support.
+        fresh, old = [], []  # the classes with and without a fresh child
+        for key, cls in classes.items():
+            children, new = [], False
+            for support, term in cls.witnesses.items():
+                is_new = (key, support) in frontier
+                children.append((support, *term.key, term, is_new))
+                new |= is_new
+            (fresh if new else old).append((cls.table_a, cls.table_b, children))
+        everyone = old + fresh
+        # The class tuples visited hold the support combinations with a fresh
+        # child: a symbol of rank r visits |every|^r - |old|^r of them.
+        every = sum(map(len, depths.values()))
+        stale = every - len(frontier)
+        work = sum(every ** rank - stale ** rank for _, rank in symbols)
         if work > MAX_LEVEL_WORK:
             raise ResourceLimitError(
                 f"algebra {names}: level {depth + 1} would visit {work} support"
@@ -291,37 +340,62 @@ def generate_clone(
         new_keys = set()  # each becomes a class when the level commits
         for sym, rank in symbols:
             op_a, op_b = ops_a[sym], ops_b[sym]
-            # A combination's tables depend only on its children's classes:
-            # the op is applied once per tuple of class positions.
-            made: dict[tuple[int, ...], tuple] = {}
-            # Every combination with a fresh child, once: the first fresh
-            # child sits at position p, only old children come before it.
+            # The head's children combined, one entry per combination:
+            # (occurrence set, depth, "sym(s_1,...,s_k,", children, fresh).
+            no_head = [(interned(frozenset()), 0, sym + "(", (), False)]
             for p in range(rank):
-                pools = [old] * p + [fresh] + [every] * (rank - p - 1)
-                for combo in itertools.product(*pools):
-                    tables_a, tables_b, sups, children, depths, positions = zip(*combo)
-                    found = made.get(positions)
-                    if found is None:
-                        table_a = _apply(op_a, tables_a)
-                        table_b = table_a if same else _apply(op_b, tables_b)
-                        key = (table_a, table_b)
-                        cls = classes.get(key)
-                        if cls is None:
-                            new_keys.add(key)
-                            if len(classes) + len(new_keys) > bounds.class_cap:
-                                raise exceeded(depth + 1)
-                        else:  # keep the class's own tables, not this copy
-                            key = cls.table_a, cls.table_b
-                        found = made[positions] = (key, cls)
-                    key, cls = found
-                    support = frozenset().union(*sups)
-                    if cls is not None:
-                        # A deeper term never replaces a known witness.
-                        known = cls.witnesses.get(support)
-                        if known is not None and known.depth() <= max(depths):
-                            continue
-                    offered += 1
-                    offer(least, (key, support), App(sym, children))
+                pools = [old] * p + [fresh] + [everyone] * (rank - p - 1)
+                last_a, last_b, last_members = zip(*pools.pop())
+                last_a = b"".join(last_a)
+                last_b = last_a if same else b"".join(last_b)
+                n = len(last_members)
+                for head in itertools.product(*pools):
+                    heads, row = no_head, []
+                    for table_a, _, children in head:
+                        row.append(table_a * n)
+                        heads = [
+                            (
+                                interned(support | s), max(deep, d), text + t + ",",
+                                terms + (w,), new or f,
+                            )
+                            for support, deep, text, terms, new in heads
+                            for s, d, t, w, f in children
+                        ]
+                    results = _apply(op_a, (*row, last_a))
+                    if same:
+                        keys = [results[k:k + rows_a] for k in range(0, n * rows_a, rows_a)]
+                    else:
+                        row = [table_b * n for _, table_b, _ in head]
+                        results_b = _apply(op_b, (*row, last_b))
+                        keys = [
+                            results[k * rows_a:(k + 1) * rows_a]
+                            + results_b[k * rows_b:(k + 1) * rows_b]
+                            for k in range(n)
+                        ]
+                    for head_support, head_deep, text, head_terms, head_new in heads:
+                        # a last child's occurrence set -> its union with the head's
+                        unions: dict[frozenset[int], frozenset[int]] = {}
+                        for key, known, children in zip(keys, map(depths.get, keys), last_members):
+                            if known is None and key not in new_keys:
+                                new_keys.add(key)
+                                if len(classes) + len(new_keys) > bounds.class_cap:
+                                    raise exceeded(depth + 1)
+                            for support, deep, last_text, term, new in children:
+                                if not (head_new or new):
+                                    continue
+                                joined = unions.get(support)
+                                if joined is None:
+                                    joined = unions[support] = interned(head_support | support)
+                                if head_deep > deep:
+                                    deep = head_deep
+                                # A deeper term never replaces a known witness.
+                                if known is not None and known.get(joined, deep + 1) <= deep:
+                                    continue
+                                offered += 1
+                                term_key = (deep + 1, f"{text}{last_text})")
+                                best = least.get((key, joined))
+                                if best is None or term_key < best[0]:
+                                    least[key, joined] = (term_key, sym, head_terms + (term,))
         depth += 1
 
     # Decoded once, here: a class's tables leave the build as element tuples.
@@ -513,6 +587,12 @@ def build_pair_context(
     clone = generate_clone(alg_a, alg_b, bounds)
     alg_b = clone.alg_b
     classes = clone.classes
+    pairs = len(classes) ** 2
+    if pairs > MAX_GROUP_PAIRS:
+        raise ResourceLimitError(
+            f"algebra {_names(alg_a, alg_b)}: grouping would visit {pairs} class pairs,"
+            f" over the limit of {MAX_GROUP_PAIRS}"
+        )
 
     # Rewrite sides: per class, its (occurrence-set id, witness) pairs as
     # left sides; per class and occurrence-set id, the least witness whose

@@ -44,6 +44,8 @@ from aprop.verify import (
     run_paper_vectors,
 )
 
+from test_clone import random_groupoid
+
 SEED = 20260823
 BOUNDS = Bounds(max_vars=2)
 
@@ -231,6 +233,13 @@ class TestOracleEquivalence:
         alg = FiniteAlgebra(f"{op}{n}", Language((("p", 2),)), universe, {"p": table})
         ctx = build_pair_context(alg, bounds=BOUNDS)
         assert oracle_mismatches(alg, ctx, ("literal", "all")) == []
+
+    def test_random_groupoid(self):
+        """A 3-element groupoid with a large clone: 594 classes at two
+        variables, where the naive oracle would take minutes; 6 at one."""
+        alg = random_groupoid(2)
+        ctx = build_pair_context(alg, bounds=Bounds(max_vars=1))
+        assert oracle_mismatches(alg, ctx, ("literal", "all"), max_vars=1) == []
 
 
 class TestIsomorphismTheorems:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from aprop.cli import main
-from aprop.clone import MAX_LEVEL_WORK, Bounds, build_pair_context
+from aprop.clone import MAX_GROUP_PAIRS, MAX_LEVEL_WORK, Bounds, build_pair_context
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
@@ -21,6 +21,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv) -> subprocess.CompletedProcess:
+    """``aprop *argv`` in a child process under a 1 GB address-space limit and
+    a 5 s timeout, so a build that grows past its bounds fails the test, not
+    the machine."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "aprop.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+    )
 
 
 class TestCheck:
@@ -243,23 +258,47 @@ class TestErrors:
         """One element and one binary op: one class and one row at any
         --max-vars, but 2^v - 1 supports, so neither the class cap nor
         MAX_ROWS fires.  At 20 variables level 3 would visit 6195^2 - 210^2
-        support combinations.  The child runs under an address-space limit
-        and a timeout, so a regression fails the test, not the machine."""
+        support combinations."""
         path = tmp_path / "O.alg"
         path.write_text("algebra O { universe: o; op p/2: (o,o) -> o; }\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "aprop.cli", "--max-vars", "20", "axioms", str(path)],
-            env=env, capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
-        )
+        done = run_capped("--max-vars", "20", "axioms", str(path))
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == (
             f"error: algebra 'O': level 3 would visit {6195**2 - 210**2} support"
             f" combinations, over the limit of {MAX_LEVEL_WORK}\n"
+        )
+
+    def test_a_large_binary_clone_is_refused_before_its_level(self, tmp_path):
+        """G4, a random 4-element groupoid (row-major ``bacaddddbadaddad``),
+        has 8,335 classes and 8,359 supports after level 4 at two variables,
+        7,974 of them new, so level 5 would visit 8359^2 - 385^2 support
+        combinations."""
+        u = "abcd"
+        cells = iter("bacaddddbadaddad")
+        rows = ", ".join(f"({x},{y}) -> {next(cells)}" for x in u for y in u)
+        path = tmp_path / "G4.alg"
+        path.write_text(f"algebra G4 {{ universe: a, b, c, d; op p/2: {rows}; }}\n")
+        done = run_capped("--max-vars", "2", "check", str(path), "a", "b", "a", "b")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra 'G4': level 5 would visit {8359**2 - 385**2} support"
+            f" combinations, over the limit of {MAX_LEVEL_WORK}\n"
+        )
+
+    def test_a_grouping_beyond_the_pair_limit_is_refused_before_its_loop(self, tmp_path):
+        """CS7, a 7-cycle f and the saturating shift g, has 11,970 classes at
+        one variable, so the grouping would visit 11970^2 class pairs.  The
+        clone is built and the grouping refused."""
+        u = "abcdefg"
+        f = ", ".join(f"{x} -> {u[(i + 1) % 7]}" for i, x in enumerate(u))
+        g = ", ".join(f"{x} -> {u[min(i + 1, 6)]}" for i, x in enumerate(u))
+        path = tmp_path / "CS7.alg"
+        path.write_text(f"algebra CS7 {{ universe: {', '.join(u)}; op f/1: {f}; op g/1: {g}; }}\n")
+        done = run_capped("--max-vars", "1", "check", str(path), "a", "b", "a", "b")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra 'CS7': grouping would visit {11970**2} class pairs,"
+            f" over the limit of {MAX_GROUP_PAIRS}\n"
         )
 
     def test_out_of_memory_is_its_own_outcome(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import string
@@ -9,6 +10,7 @@ import pytest
 import aprop.clone
 from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import (
+    MAX_GROUP_PAIRS,
     MAX_ROWS,
     Bounds,
     ResourceLimitError,
@@ -72,6 +74,30 @@ def generated_algebra(name: str) -> FiniteAlgebra:
     return FiniteAlgebra(name, Language(symbols), u, tables)
 
 
+def random_groupoid(seed: int) -> FiniteAlgebra:
+    """A 3-element groupoid: one binary op ``p`` whose table, row-major over
+    (a, b, c), takes one ``random.Random(seed).choice`` per cell.  Seed 2
+    reads ``aaabaccbb``: 594 classes at two variables."""
+    rng = random.Random(seed)
+    u = ("a", "b", "c")
+    table = {args: rng.choice(u) for args in itertools.product(u, repeat=2)}
+    return FiniteAlgebra(f"G3r{seed}", Language((("p", 2),)), u, {"p": table})
+
+
+def clone_digest(result) -> str:
+    """A digest of every ``CloneResult`` field but the levels' CPU times."""
+    fields = [
+        result.alg_a.name, result.alg_b.name, result.bounds, result.saturated,
+        result.depth_reached, [level[:3] for level in result.levels],
+        [
+            (c.table_a, c.table_b, c.depth_found,
+             [(sorted(sup), str(t)) for sup, t in c.witnesses.items()])
+            for c in result.classes
+        ],
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 class TestGenerateClone:
     def test_empty_language_two_projections(self):
         alg = bundled_algebra("A1")
@@ -127,16 +153,19 @@ class TestGenerateClone:
         assert str(raised.value) == "class cap 3 exceeded at depth 1 on algebra 'PTRANS'"
 
     def test_class_cap_stops_the_level_early(self, monkeypatch):
+        """Terms are built only when a level commits, so the level's runs
+        (``_apply`` calls) are counted."""
         import aprop.clone
 
         alg = load_algebra(CONSTANTS)[1]
         built = []
+        apply = aprop.clone._apply
 
-        def counting_app(*args):
+        def counting_apply(*args):
             built.append(args)
-            return App(*args)
+            return apply(*args)
 
-        monkeypatch.setattr(aprop.clone, "App", counting_app)
+        monkeypatch.setattr(aprop.clone, "_apply", counting_apply)
         # Level 3 takes the clone from 150 to 2,994 classes.
         generate_clone(alg, bounds=Bounds(max_vars=2, max_depth=3))
         through_level_3 = len(built)
@@ -225,6 +254,33 @@ class TestGenerateClone:
         assert result.levels[3].candidates == 19_110
         assert live["peak"] <= 2 * supports
 
+    @pytest.mark.parametrize("alg, max_vars, digest", [
+        (random_groupoid(2), 2, "9f114960694c294b5be159567d98aaef29f174e137862663195bf475d05b6f51"),
+        (generated_algebra("Z4"), 3,
+         "be19c4d47c18beb43328a418589a100cd8cc8d163d238f9b20dc5f719a2eb59a"),
+    ], ids=["G3r2@2", "Z4@3"])
+    def test_build_is_pinned(self, alg, max_vars, digest):
+        """Every field but the CPU times, as the per-application enumeration
+        that kept one entry per class tuple built them."""
+        assert clone_digest(generate_clone(alg, bounds=Bounds(max_vars=max_vars))) == digest
+
+    def test_grouping_beyond_the_pair_limit(self, monkeypatch):
+        """|classes|^2 is known once the clone is built and is refused before
+        the grouping.  The limit admits CS6 at two variables (5,478 classes)
+        and refuses CS7 at one (11,970)."""
+        assert 5478**2 <= MAX_GROUP_PAIRS < 11970**2
+        z3 = generated_algebra("Z3")  # 3 classes at one variable
+        copy = FiniteAlgebra("Z3b", z3.language, z3.universe, z3.tables)
+        monkeypatch.setattr(aprop.clone, "MAX_GROUP_PAIRS", 8)
+        for alg_b, names in ((z3, "'Z3'"), (copy, "'Z3' with 'Z3b'")):
+            with pytest.raises(ResourceLimitError) as raised:
+                build_pair_context(z3, alg_b, Bounds(max_vars=1))
+            assert str(raised.value) == (
+                f"algebra {names}: grouping would visit 9 class pairs, over the limit of 8"
+            )
+        monkeypatch.setattr(aprop.clone, "MAX_GROUP_PAIRS", 9)
+        assert len(build_pair_context(z3, bounds=Bounds(max_vars=1)).clone.classes) == 3
+
     def test_dedup_against_raw_enumeration(self):
         rng = random.Random(11)
         for _ in range(8):
@@ -288,13 +344,15 @@ class CountingTable(dict):
 @pytest.mark.parametrize("name, max_vars", [("Z3", 2), ("CG3", 1)])
 def test_op_is_applied_once_per_child_class_tuple_per_level(name, max_vars, monkeypatch):
     """A combination's tables depend on its children's classes only, not on
-    their occurrence sets: each level applies a symbol at most once per tuple
-    of child classes.  An application runs on the children's code tables
-    (``_apply``); each op's own table is read only to build its codes,
-    |U|^rank times per build."""
+    their occurrence sets: each level makes the result of a symbol on a tuple
+    of child classes at most once.  One application (``_apply``) is one run:
+    the head classes' tables, each repeated once per last class, and the last
+    classes' tables joined.  Each op's own table is read only to build its
+    codes, |U|^rank times per build."""
     import aprop.clone
 
     alg = named_algebra(name)
+    rows = len(alg.universe) ** max_vars
     asked = []
     counting = FiniteAlgebra(
         alg.name, alg.language, alg.universe,
@@ -308,7 +366,13 @@ def test_op_is_applied_once_per_child_class_tuple_per_level(name, max_vars, monk
         return op
 
     def counted(op, tables):
-        applied.append((next(sym for sym, known in symbol_of.items() if known is op), tables))
+        *head, last = tables
+        n = len(last) // rows
+        assert len(last) == n * rows and all(len(table) == n * rows for table in head)
+        heads = tuple(table[:rows] for table in head)
+        assert all(table == part * n for table, part in zip(head, heads))
+        sym = next(sym for sym, known in symbol_of.items() if known is op)
+        applied.extend((sym, heads, last[k * rows:(k + 1) * rows]) for k in range(n))
         return apply(op, tables)
 
     monkeypatch.setattr(aprop.clone, "_op_lanes", lanes)
@@ -487,6 +551,16 @@ def test_cached_key_matches_recursive_computation():
         t = parse_term(text, language)
         assert (t.depth(), str(t)) == fresh_key(t)
 
+
+
+@pytest.mark.parametrize("name, max_vars", [("CG3", 1), ("T3", 2), ("Z3", 3)])
+def test_witness_keys_match_recursive_computation(name, max_vars):
+    """A witness is built with the key it was offered with, made from its
+    children's strings and depths; it is the key its tree gives."""
+    result = generate_clone(named_algebra(name), bounds=Bounds(max_vars=max_vars))
+    for c in result.classes:
+        for t in c.witnesses.values():
+            assert t.key == fresh_key(t)
 
 def reference_clone(alg: FiniteAlgebra, max_vars: int):
     """(table, {occurrence set: witness}) per class, in class order."""
