@@ -7,7 +7,8 @@ queried relation holds or all checks pass, 1 when it fails or a
 counterexample exists, 2 on usage or input errors, 3 when the clone
 exceeds ``--class-cap`` before it saturates, its tables would exceed
 ``clone.MAX_ROWS`` rows, one of its levels would visit more than
-``clone.MAX_LEVEL_WORK`` combinations, or memory runs out.
+``clone.MAX_LEVEL_WORK`` combinations, the relation grouping would visit
+more than ``clone.MAX_GROUP_PAIRS`` class pairs, or memory runs out.
 """
 
 from __future__ import annotations

@@ -228,12 +228,7 @@ def generate_clone(
                 f"algebra {alg.name!r}: {v} variables make tables of {size}^{v} rows,"
                 f" over the limit of {MAX_ROWS}"
             )
-    # the variables' tables: columns of the assignments' codes, in product order
-    columns_a, columns_b = (
-        list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
-        for alg in (alg_a, alg_b)
-    )
-    rows_a, rows_b = len(columns_a[0]), len(columns_b[0])
+    rows_a, rows_b = len(alg_a.universe) ** v, len(alg_b.universe) ** v
     symbols = [(sym, rank) for sym, rank in alg_a.language.symbols if rank > 0]
     ops_a = {sym: _op_lanes(alg_a, sym, rank) for sym, rank in symbols}
     ops_b = ops_a if same else {sym: _op_lanes(alg_b, sym, rank) for sym, rank in symbols}
@@ -252,6 +247,12 @@ def generate_clone(
     def exceeded(depth: int) -> ResourceLimitError:
         return ResourceLimitError(
             f"class cap {bounds.class_cap} exceeded at depth {depth} on algebra {names}"
+        )
+
+    def overworked(level: int, work: int) -> ResourceLimitError:
+        return ResourceLimitError(
+            f"algebra {names}: level {level} would visit {work} support"
+            f" combinations, over the limit of {MAX_LEVEL_WORK}"
         )
 
     def commit(least: dict, depth: int) -> set:
@@ -283,14 +284,29 @@ def generate_clone(
                 depths[key][support] = term_key[0]
         return new
 
-    # Level 0: the variables and the constants.
-    least: dict = {}
-    offers = [(Var(i), columns_a[i], columns_b[i], interned(frozenset([i]))) for i in range(v)]
+    # Level 0: the constants, then the variables.
+    offers = []
     for sym, rank in alg_a.language.symbols:
         if rank == 0:
             code_a = bytes([alg_a.index[alg_a.apply(sym, ())]])
             code_b = code_a if same else bytes([alg_b.index[alg_b.apply(sym, ())]])
             offers.append((App(sym), code_a * rows_a, code_b * rows_b, interned(frozenset())))
+    # Level 0 fills v + k slots, k the distinct constant tables, so level 1
+    # would visit (v + k)^rank combinations per symbol.  That is refused here,
+    # before the v variables are built, unless level 0 exceeds the class cap
+    # first: it has v + k classes, or one when every table has one row.
+    slots = v + len({(table_a, table_b) for _, table_a, table_b, _ in offers})
+    work = sum(slots ** rank for _, rank in symbols)
+    if (work > MAX_LEVEL_WORK and bounds.max_depth != 0
+            and (slots <= bounds.class_cap or rows_a * rows_b == 1)):
+        raise overworked(1, work)
+    # the variables' tables: columns of the assignments' codes, in product order
+    columns_a, columns_b = (
+        list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
+        for alg in (alg_a, alg_b)
+    )
+    offers += [(Var(i), columns_a[i], columns_b[i], interned(frozenset([i]))) for i in range(v)]
+    least: dict = {}
     for term, table_a, table_b, support in offers:
         slot = (table_a if same else table_a + table_b, support)
         if slot not in least or term.key < least[slot][0]:
@@ -332,10 +348,7 @@ def generate_clone(
         stale = every - len(frontier)
         work = sum(every ** rank - stale ** rank for _, rank in symbols)
         if work > MAX_LEVEL_WORK:
-            raise ResourceLimitError(
-                f"algebra {names}: level {depth + 1} would visit {work} support"
-                f" combinations, over the limit of {MAX_LEVEL_WORK}"
-            )
+            raise overworked(depth + 1, work)
         least, offered = {}, 0
         new_keys = set()  # each becomes a class when the level commits
         for sym, rank in symbols:
@@ -583,6 +596,15 @@ def build_pair_context(
     with the variables of t among those of s.  Relation classes are listed
     in the order of their witnesses.  On one algebra (``alg_b`` is ``alg_a``
     or None) pairs are grouped on A's arrows only, and ``rel_b`` is ``rel_a``.
+
+    The right sides t are found per class: a map from each occurrence set of
+    the clone to the least witness whose variables lie in that set.  Each
+    support reaches the occurrence sets that contain it, the intersection of
+    the sets that hold each of its variables (every set, for the empty
+    support).  The supports are walked least witness first, and each writes
+    only the sets no smaller one reached.  A support that some smaller one
+    already reached is skipped: that smaller support lies inside it, so it
+    reaches every set this one does.
     """
     clone = generate_clone(alg_a, alg_b, bounds)
     alg_b = clone.alg_b
@@ -594,23 +616,25 @@ def build_pair_context(
             f" over the limit of {MAX_GROUP_PAIRS}"
         )
 
-    # Rewrite sides: per class, its (occurrence-set id, witness) pairs as
-    # left sides; per class and occurrence-set id, the least witness whose
-    # variables lie in that set as the right side, or None.
-    occurrence_sets = list(dict.fromkeys(sup for c in classes for sup, _ in c.supports))
-    set_id = {sup: k for k, sup in enumerate(occurrence_sets)}
-    lefts = [[(set_id[sup], t) for sup, t in c.supports] for c in classes]
-    rights = [
-        [next((t for sup, t in c.supports if sup <= occ), None) for occ in occurrence_sets]
-        for c in classes
-    ]
+    # Rewrite sides, per class: occurrence set -> the least witness whose
+    # variables lie in it, filled as the docstring says.
+    occurrence_sets = {sup for c in classes for sup in c.witnesses}
+    holding: dict[int, set[frozenset[int]]] = {}  # variable -> the sets holding it
+    for occ in occurrence_sets:
+        for x in occ:
+            holding.setdefault(x, set()).add(occ)
+    rights: list[dict[frozenset[int], Term]] = [{} for _ in classes]
+    for c, right in zip(classes, rights):
+        for sup, t in c.supports:
+            if sup not in right:
+                reached = occurrence_sets.intersection(*map(holding.__getitem__, sup))
+                right.update(dict.fromkeys(reached.difference(right), t))
 
     def rewrite(i: int, j: int):
         """The least rewrite pair of classes i, j as (pair key, s, t), or None."""
         best = None
-        right = rights[j]
-        for k, s in lefts[i]:
-            t = right[k]
+        for sup, s in classes[i].supports:
+            t = rights[j].get(sup)
             if t is not None:
                 key = _pair_key(s, t)
                 if best is None or key < best[0]:

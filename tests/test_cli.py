@@ -23,10 +23,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_capped(*argv) -> subprocess.CompletedProcess:
+def run_capped(*argv, timeout: float = 5) -> subprocess.CompletedProcess:
     """``aprop *argv`` in a child process under a 1 GB address-space limit and
-    a 5 s timeout, so a build that grows past its bounds fails the test, not
-    the machine."""
+    a timeout (5 s by default), so a build that grows past its bounds fails
+    the test, not the machine."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
     def cap_memory():
@@ -34,7 +34,7 @@ def run_capped(*argv) -> subprocess.CompletedProcess:
 
     return subprocess.run(
         [sys.executable, "-m", "aprop.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=cap_memory,
     )
 
 
@@ -300,6 +300,31 @@ class TestErrors:
             f"error: algebra 'CS7': grouping would visit {11970**2} class pairs,"
             f" over the limit of {MAX_GROUP_PAIRS}\n"
         )
+
+    def test_level_one_is_refused_before_level_zero_is_built(self, tmp_path):
+        """One element and one binary op at a million variables: one row, so
+        MAX_ROWS admits it, and level 1 would visit 10^6 squared support
+        combinations, known before the million variables are built."""
+        path = tmp_path / "O.alg"
+        path.write_text("algebra O { universe: o; op p/2: (o,o) -> o; }\n")
+        done = run_capped("--max-vars", "1000000", "check", str(path), "o", "o", "o", "o")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra 'O': level 1 would visit {10**12} support"
+            f" combinations, over the limit of {MAX_LEVEL_WORK}\n"
+        )
+
+    def test_rewrite_sides_grow_linearly_in_the_supports(self, tmp_path):
+        """One element and one unary op at 100,000 variables: one class with
+        one support per variable.  Its rewrite sides are one map entry per
+        support, not one scan of the supports per occurrence set."""
+        path = tmp_path / "U.alg"
+        path.write_text("algebra U { universe: o; op f/1: o -> o; }\n")
+        done = run_capped(
+            "--max-vars", "100000", "check", str(path), "o", "o", "o", "o", timeout=10
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "holds" in done.stdout
 
     def test_out_of_memory_is_its_own_outcome(self, capsys, monkeypatch):
         import aprop.cli

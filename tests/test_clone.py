@@ -229,6 +229,30 @@ class TestGenerateClone:
                     f" combinations, over the limit of {limit}"
                 )
 
+    def test_level_one_is_refused_before_level_zero(self, monkeypatch):
+        """Level 0 fills v + k slots, k the distinct constant tables, so level
+        1's work, (v + k)^rank per symbol, is refused before any variable is
+        built.  A depth-0 class-cap refusal still comes first: level 0 has
+        v + k classes, or one when every table has one row."""
+        z2 = generated_algebra("Z2")
+        z2c = FiniteAlgebra(
+            "Z2c", Language((("p", 2), ("c", 0))), z2.universe, {**z2.tables, "c": {(): "a"}}
+        )
+        one = FiniteAlgebra("O", Language((("p", 2),)), ("o",), {"p": {("o", "o"): "o"}})
+        monkeypatch.setattr(aprop.clone, "MAX_LEVEL_WORK", 15)  # below 4^2
+        with pytest.raises(ResourceLimitError, match="class cap 3 exceeded at depth 0"):
+            generate_clone(z2c, bounds=Bounds(max_vars=3, class_cap=3))
+        level_0 = generate_clone(z2c, bounds=Bounds(max_vars=3, max_depth=0)).levels[0]
+        assert (level_0.new_classes, level_0.new_supports) == (4, 4)
+
+        def unbuilt(i):
+            raise AssertionError("a variable was built")
+
+        monkeypatch.setattr(aprop.clone, "Var", unbuilt)
+        for alg, max_vars, class_cap in ((z2c, 3, 4), (one, 4, 1)):
+            with pytest.raises(ResourceLimitError, match="level 1 would visit 16 support"):
+                generate_clone(alg, bounds=Bounds(max_vars=max_vars, class_cap=class_cap))
+
     def test_a_level_holds_one_term_per_slot(self, monkeypatch):
         """A level keeps only the least term offered to each (class,
         occurrence set) slot.  One binary op on one element at 8 variables:

@@ -1,0 +1,36 @@
+"""Metamorphic checks: relations between two engine runs that follow from the
+definitions alone.  They need no oracle, so they reach whatever the engine
+can build."""
+
+import pytest
+
+from aprop.clone import Bounds, build_pair_context
+from aprop.verify import bundled_algebra_names
+
+from test_arrow_memo import QUOTIENT_PAIRS
+from test_clone import named_algebra
+
+
+def relation_pairs(ctx):
+    """The (rel_a, rel_b) pairs of every relation class, and of those with a
+    rewrite witness."""
+    every = {(rc.rel_a, rc.rel_b) for rc in ctx.relations}
+    witnessed = {(rc.rel_a, rc.rel_b) for rc in ctx.relations if rc.has_rewrite_witness}
+    return every, witnessed
+
+
+@pytest.mark.parametrize("name", [*bundled_algebra_names(), "CS3", "Z3", "A3:collapse-1"])
+def test_relation_classes_grow_with_the_variables(name):
+    """A term over v variables is a term over v + 1 with the same relation,
+    and a rewrite pair over v stays one over v + 1, so the relation classes
+    at v, and the rewrite-witnessed ones, are among those at v + 1."""
+    alg_a, alg_b = QUOTIENT_PAIRS[name] if name in QUOTIENT_PAIRS else (named_algebra(name), None)
+    fewer = None
+    for max_vars in (1, 2, 3):
+        ctx = build_pair_context(alg_a, alg_b, Bounds(max_vars=max_vars))
+        assert ctx.saturated
+        more = relation_pairs(ctx)
+        if fewer is not None:
+            assert fewer[0] <= more[0], max_vars
+            assert fewer[1] <= more[1], max_vars
+        fewer = more
