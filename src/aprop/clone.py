@@ -46,6 +46,10 @@ MAX_ROWS = 2**20
 # over the symbols.  It admits a random 3-element groupoid at two variables,
 # about 4.5 million at its largest level.
 MAX_LEVEL_WORK = 2**24
+# The most supports level 0 may fill, one per variable and distinct constant
+# table.  Only one-element algebras reach it (MAX_ROWS bounds the variables
+# on larger ones); each support costs about 1.2 KB through a check.
+MAX_LEVEL_ZERO = 2**19
 # The most class pairs the relation grouping may visit, |classes|^2.  It
 # admits CS6 (a 6-cycle and a shift) at two variables, about 30 million.
 MAX_GROUP_PAIRS = 2**25
@@ -54,8 +58,9 @@ MAX_GROUP_PAIRS = 2**25
 class ResourceLimitError(RuntimeError):
     """Class-count cap exceeded before saturation, a universe too large for
     the clone's one-byte element codes, tables longer than ``MAX_ROWS``, a
-    level that would visit more than ``MAX_LEVEL_WORK`` combinations or a
-    grouping that would visit more than ``MAX_GROUP_PAIRS`` class pairs."""
+    level 0 of more than ``MAX_LEVEL_ZERO`` supports, a level that would
+    visit more than ``MAX_LEVEL_WORK`` combinations or a grouping that would
+    visit more than ``MAX_GROUP_PAIRS`` class pairs."""
 
 
 @dataclass(frozen=True)
@@ -266,21 +271,15 @@ def generate_clone(
             key, support = slot
             cls = classes.get(key)
             if cls is None:
-                table_a = key[:rows_a]
-                cls = classes[key] = DenotationClass(
-                    table_a, table_a if same else key[rows_a:], depth
-                )
+                table_a = tuple(map(alg_a.universe.__getitem__, key[:rows_a]))
+                table_b = table_a if same else tuple(map(alg_b.universe.__getitem__, key[rows_a:]))
+                cls = classes[key] = DenotationClass(table_a, table_b, depth)
                 depths[key] = {}
             known = cls.witnesses.get(support)
             if known is None:
                 new.add(slot)
             if known is None or term_key < known.key:
-                if children is None:
-                    term = sym
-                else:  # its key, kept as Term.key keeps it once read
-                    term = App(sym, children)
-                    vars(term)["key"] = term_key
-                cls.witnesses[support] = term
+                cls.witnesses[support] = sym if children is None else App(sym, children)
                 depths[key][support] = term_key[0]
         return new
 
@@ -300,6 +299,11 @@ def generate_clone(
     if (work > MAX_LEVEL_WORK and bounds.max_depth != 0
             and (slots <= bounds.class_cap or rows_a * rows_b == 1)):
         raise overworked(1, work)
+    if slots > MAX_LEVEL_ZERO:
+        raise ResourceLimitError(
+            f"algebra {names}: level 0 would fill {slots} supports,"
+            f" over the limit of {MAX_LEVEL_ZERO}"
+        )
     # the variables' tables: columns of the assignments' codes, in product order
     columns_a, columns_b = (
         list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
@@ -331,8 +335,9 @@ def generate_clone(
             break
         start = time.process_time()
         # Each class as this level reads it, before it commits anything:
-        # (table_a, table_b, children), a child being (occurrence set,
-        # depth, string, witness, fresh).  A fresh child is a new support.
+        # (table_a, table_b, children), the tables as bytes cut from its key
+        # and a child being (occurrence set, depth, string, witness, fresh).
+        # A fresh child is a new support.
         fresh, old = [], []  # the classes with and without a fresh child
         for key, cls in classes.items():
             children, new = [], False
@@ -340,7 +345,8 @@ def generate_clone(
                 is_new = (key, support) in frontier
                 children.append((support, *term.key, term, is_new))
                 new |= is_new
-            (fresh if new else old).append((cls.table_a, cls.table_b, children))
+            tables = (key, key) if same else (key[:rows_a], key[rows_a:])
+            (fresh if new else old).append((*tables, children))
         everyone = old + fresh
         # The class tuples visited hold the support combinations with a fresh
         # child: a symbol of rank r visits |every|^r - |old|^r of them.
@@ -411,10 +417,6 @@ def generate_clone(
                                     least[key, joined] = (term_key, sym, head_terms + (term,))
         depth += 1
 
-    # Decoded once, here: a class's tables leave the build as element tuples.
-    for c in classes.values():
-        c.table_a = tuple(map(alg_a.universe.__getitem__, c.table_a))
-        c.table_b = c.table_a if same else tuple(map(alg_b.universe.__getitem__, c.table_b))
     ordered = sorted(classes.values(), key=lambda c: (c.depth_found, str(c.witness)))
     return CloneResult(alg_a, alg_b, bounds, ordered, saturated, depth, levels)
 

@@ -22,7 +22,7 @@ __all__ = [
     "parse_term",
 ]
 
-# The deepest term parse_term accepts: Term.key, and so str and depth, recurse once per level.
+# The deepest term parse_term accepts: the parser, == and hash recurse once per level.
 MAX_TERM_DEPTH = 200
 
 
@@ -63,9 +63,17 @@ def _is_variable_name(name: str) -> bool:
 
 
 class Term:
-    """Base class; concrete terms are Var or App."""
+    """Base class; concrete terms are Var or App.
+
+    A term is complete when built: ``key``, (depth, string), orders terms
+    smallest key first, and ``_variables`` holds the variable indices in
+    first-occurrence order.  Both are computed from the children's and kept
+    outside the dataclass fields, so they take no part in ==, hash or repr.
+    """
 
     __slots__ = ()
+    key: tuple[int, str]
+    _variables: tuple[int, ...]
 
     def variables(self) -> tuple[int, ...]:
         """Variable indices in first-occurrence order."""
@@ -74,18 +82,6 @@ class Term:
     @property
     def rank(self) -> int:
         return len(self.variables())
-
-    # The ordering key (depth, string) and the variables are computed once per
-    # node from the children's, on first read, and kept in the instance dict,
-    # outside the dataclass fields, so they take no part in ==, hash or repr.
-    @cached_property
-    def key(self) -> tuple[int, str]:
-        """(depth, string): terms are ordered smallest key first."""
-        raise NotImplementedError
-
-    @cached_property
-    def _variables(self) -> tuple[int, ...]:
-        raise NotImplementedError
 
     def depth(self) -> int:
         return self.key[0]
@@ -101,14 +97,8 @@ class Var(Term):
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("variable index must be non-negative")
-
-    @cached_property
-    def key(self) -> tuple[int, str]:
-        return (0, f"x{self.index}")
-
-    @cached_property
-    def _variables(self) -> tuple[int, ...]:
-        return (self.index,)
+        object.__setattr__(self, "key", (0, f"x{self.index}"))
+        object.__setattr__(self, "_variables", (self.index,))
 
 
 @dataclass(frozen=True)
@@ -116,21 +106,16 @@ class App(Term):
     symbol: str
     children: tuple[Term, ...] = ()
 
-    @cached_property
-    def key(self) -> tuple[int, str]:
-        if not self.children:
-            return (1, self.symbol)
-        keys = [c.key for c in self.children]
-        return (
-            1 + max(k[0] for k in keys),
-            f"{self.symbol}({','.join(k[1] for k in keys)})",
-        )
-
-    @cached_property
-    def _variables(self) -> tuple[int, ...]:
-        if len(self.children) == 1:
-            return self.children[0]._variables
-        return tuple(dict.fromkeys(i for c in self.children for i in c._variables))
+    def __post_init__(self):
+        depth, texts, variables = 0, [], ()
+        for child in self.children:
+            child_depth, text = child.key
+            depth = max(depth, child_depth)
+            texts.append(text)
+            variables += child._variables
+        text = f"{self.symbol}({','.join(texts)})" if texts else self.symbol
+        object.__setattr__(self, "key", (depth + 1, text))
+        object.__setattr__(self, "_variables", tuple(dict.fromkeys(variables)))
 
 
 @dataclass(frozen=True)

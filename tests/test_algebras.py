@@ -23,6 +23,11 @@ PCOMM = bundled_algebra("PCOMM")
 SIREFL = bundled_algebra("SIREFL")
 
 
+S = "algebra S { universe: a, b; op f/1: a -> b, b -> a; }\n"
+CHECK = ["check", "{path}", "a", "b", "a", "b"]
+ISO = ["iso", "{path}", "m"]
+
+
 class TestSpecFormat:
     def test_load_a2(self):
         language, alg = load_algebra(
@@ -84,23 +89,47 @@ class TestSpecFormat:
             )
 
     @pytest.mark.parametrize(
-        "spec, argv",
+        "spec, argv, message",
         [
-            ("algebra X { universe: a, b; op f/1: a -> b, b -> a, q -> b; }",
-             ["check", "{path}", "a", "b", "a", "b"]),
-            ("algebra S { universe: a, b; op f/1: a -> b, b -> a; }\n"
-             "mapping m : S -> S { a -> a, b -> b, z -> a }",
-             ["iso", "{path}", "m"]),
+            ("algebra X { universe: a, b; op f/1: a -> b, b -> a, q -> b; }", CHECK,
+             "algebra 'X': row f('q',) has an argument outside the universe"),
+            (S + "mapping m : S -> S { a -> a, b -> b, z -> a }", ISO,
+             "mapping 'm': 'z' is not an element of the source"),
+            (S + S, CHECK, "duplicate algebra 'S'"),
+            (S + "mapping m : S -> S { a -> a, b -> b }\nmapping m : S -> S { a -> b, b -> a }",
+             ISO, "duplicate mapping 'm'"),
+            ("algebra X { universe: a; op p/2 default identity: (a,a) -> a; }", CHECK,
+             "default identity is only valid for unary ops at 40"),
+            ("algebra X { universe: a; op f/1: a -> a; op f/1: a -> a; }", CHECK,
+             "duplicate op 'f'"),
+            (S + "mapping m : S -> T { a -> a, b -> b }", ISO,
+             "mapping 'm' references unknown algebra 'T'"),
+            (S + "mapping m : S -> S { a -> a, a -> b, b -> b }", ISO,
+             "mapping 'm': duplicate entry for 'a'"),
+            (S + "mapping m : S -> S { a -> a }", ISO, "mapping 'm': no image for 'b'"),
+            (S + "mapping m : S -> S { a -> a, b -> z }", ISO,
+             "mapping 'm': image 'z' outside target universe"),
         ],
-        ids=["op-row", "mapping-entry"],
+        ids=["op-row", "mapping-entry", "duplicate-algebra", "duplicate-mapping",
+             "default-identity-of-rank-2", "duplicate-op", "mapping-to-unknown-algebra",
+             "duplicate-mapping-entry", "missing-image", "image-outside-target"],
     )
-    def test_cli_rejects_with_exit_2(self, tmp_path, capsys, spec, argv):
+    def test_cli_rejects_with_exit_2(self, tmp_path, capsys, spec, argv, message):
         from aprop.cli import main
 
         path = tmp_path / "bad.spec"
         path.write_text(spec)
         assert main([arg.format(path=path) for arg in argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_library_refusals(self):
+        language = Language((("f", 1),))
+        with pytest.raises(AlgebraSpecError, match="universe is empty"):
+            FiniteAlgebra("X", language, (), {"f": {}})
+        with pytest.raises(AlgebraSpecError, match="no table for f"):
+            FiniteAlgebra("X", language, ("a",), {})
+        with pytest.raises(AlgebraSpecError, match="exactly one algebra"):
+            load_algebra(S + S.replace("S", "T"))
 
     def test_mapping_section(self):
         spec = parse_spec_file(
@@ -177,6 +206,11 @@ class TestSolutionSets:
         union = set().union(*sets)
         assert len(union) == len(A2.universe)
         assert sum(len(x) for x in sets) == len(union)
+
+    def test_variables_must_cover_the_term(self):
+        s = parse_term("f(x1)", A2.language)
+        with pytest.raises(ValueError, match="must cover"):
+            solution_set(s, "b", A2, (0,))
 
     def test_unique_solution_elements(self):
         s = parse_term("x0", A2.language)

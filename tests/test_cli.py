@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from aprop.cli import main
-from aprop.clone import MAX_GROUP_PAIRS, MAX_LEVEL_WORK, Bounds, build_pair_context
+from aprop.clone import (
+    MAX_GROUP_PAIRS, MAX_LEVEL_WORK, MAX_LEVEL_ZERO, Bounds, build_pair_context
+)
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
 
@@ -62,6 +64,14 @@ class TestCheck:
         line = out.strip()
         assert line.startswith("sim a:b ~ c:d fails")
         assert "exact=1" in line
+
+    def test_unsaturated_verdict_is_flagged(self, capsys):
+        code, out, _ = run(capsys, "--max-depth", "0", "check", "A2", "a", "b", "a", "b")
+        assert code == 0
+        assert out == (
+            "sim a:b ~ a:b: holds (all-trivial)\n"
+            "  warning: clone not saturated, verdict is approximate\n"
+        )
 
 
 class TestSolve:
@@ -171,6 +181,13 @@ class TestIso:
         code, out, _ = run(capsys, "iso", str(spec), "swap")
         assert code == 0
         assert "second-iso-theorem: pass" in out
+        code, machine, _ = run(capsys, "--format", "machine", "iso", str(spec), "swap")
+        assert code == 0
+        assert machine == (
+            "iso isomorphism-lemma pass instances=15\n"
+            "iso first-iso-theorem pass instances=18\n"
+            "iso second-iso-theorem pass instances=81\n"
+        )
 
     def test_unknown_mapping(self, capsys, tmp_path):
         spec = tmp_path / "empty.spec"
@@ -195,6 +212,22 @@ class TestVectors:
         assert code == 1
         assert len(fails) == 1
         assert "PTRANS sim p-transitivity" in fails[0]
+
+    def test_human_lines_match_the_machine_lines(self, capsys):
+        _, machine, _ = run(capsys, "--format", "machine", "vectors")
+        code, human, _ = run(capsys, "vectors")
+        assert code == 1
+        expected = []
+        for line in machine.splitlines():
+            head, actual = line.rsplit(" actual=", 1)
+            head, wanted = head.rsplit(" expected=", 1)
+            _, number, word, description = head.split(" ", 3)
+            expected.append(
+                f"line {number} [{word}] {description}: expected {wanted}, got {actual}\n"
+            )
+        failed = sum(" fail " in line for line in machine.splitlines())
+        expected.append(f"{len(expected) - failed}/{len(expected)} vectors passed\n")
+        assert human == "".join(expected)
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "--format", "machine", "vectors")
@@ -312,6 +345,24 @@ class TestErrors:
         assert done.stderr == (
             f"error: algebra 'O': level 1 would visit {10**12} support"
             f" combinations, over the limit of {MAX_LEVEL_WORK}\n"
+        )
+
+    @pytest.mark.parametrize("spec", [
+        "algebra U { universe: o; op f/1: o -> o; }",
+        "algebra E { universe: o; }",
+    ], ids=["U", "E"])
+    def test_level_zero_is_refused_before_it_is_built(self, tmp_path, spec):
+        """One element, and no op of rank 2 or more: level 1 would visit
+        2,000,000 or no support combinations, under MAX_LEVEL_WORK, but level
+        0 alone would fill two million supports."""
+        name = spec.split()[1]
+        path = tmp_path / f"{name}.alg"
+        path.write_text(spec + "\n")
+        done = run_capped("--max-vars", "2000000", "check", str(path), "o", "o", "o", "o")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra {name!r}: level 0 would fill 2000000 supports,"
+            f" over the limit of {MAX_LEVEL_ZERO}\n"
         )
 
     def test_rewrite_sides_grow_linearly_in_the_supports(self, tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from aprop.similarity import is_characteristic_generalization_set, lesssim, similar
 from aprop.terms import parse_term
 from aprop.verify import bundled_algebra
@@ -71,6 +73,13 @@ class TestLesssim:
         verdict = lesssim("a", "b", contexts("A2"))
         assert not verdict
         assert verdict.reason == "empty-intersection"
+
+    def test_unknown_element(self, contexts):
+        ctx = contexts("A2")
+        with pytest.raises(KeyError, match="unknown element 'z'"):
+            lesssim("z", "b", ctx)
+        with pytest.raises(KeyError, match="unknown element 'z'"):
+            lesssim("b", "z", ctx)
 
     def test_verdict_records_bounds(self, contexts):
         verdict = lesssim("b", "c", contexts("A2"))

@@ -1,5 +1,7 @@
-"""Invariants of the package source: standard-library imports only, and no
-line over 100 characters."""
+"""Invariants of the package source: standard-library imports only, no call
+of ``vars()`` (objects are complete when built, and nothing writes into
+another module's instances through their dict) and no line over 100
+characters."""
 
 import ast
 import sys
@@ -33,6 +35,16 @@ def test_runtime_imports_are_stdlib_or_relative(path):
         if not relative and module != "__future__" and module not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_call_of_vars(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars"
+    ]
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -96,10 +97,26 @@ class TestDepthBound:
         # n - 1 swaps of x0 = a
         assert evaluate(t, alg, {0: "a", 1: "a"}) == "ab"[(n - 1) % 2]
 
+    def test_a_deep_term_built_in_code_is_usable(self):
+        """Only the parser is bounded: a term built node by node keeps its
+        key and variables from construction, so reading them does not recurse."""
+        n = 3000
+        t = Var(1)
+        for _ in range(n):
+            t = App("f", (t,))
+        t = App("g", (t, Var(0)))
+        assert t.depth() == n + 1
+        assert str(t) == "g(" + "f(" * n + "x1" + ")" * n + ",x0)"
+        assert t.variables() == (1, 0)
+
 
 class TestVariables:
     def test_single(self):
         assert Var(0).variables() == (0,)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Var(-1)
 
     def test_constant(self):
         L = Language((("c", 0),))
@@ -144,13 +161,14 @@ class TestCachedKey:
             assert str(t) == text
 
     def test_equality_ignores_the_cache(self):
+        """The key is kept beside the dataclass fields, not among them."""
         for text in TEXTS:
-            cached, fresh = parse_term(text, L3), parse_term(text, L3)
-            str(cached)
-            assert "key" in vars(cached) and "key" not in vars(fresh)
-            assert cached == fresh and hash(cached) == hash(fresh)
-            assert repr(cached) == repr(fresh)
-            assert len({cached, fresh}) == 1
+            parsed, built = parse_term(text, L3), rebuild(parse_term(text, L3))
+            assert "key" not in {f.name for f in fields(parsed)}
+            assert parsed.key == built.key
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert len({parsed, built}) == 1
 
 
 def terms_to_depth_3(seed=0, sampled=300):
@@ -181,10 +199,11 @@ def first_occurrences(t):
     return tuple(seen)
 
 
-def nodes(t):
-    yield t
-    for c in getattr(t, "children", ()):
-        yield from nodes(c)
+def rebuild(t):
+    """A copy of t built node by node, bottom up."""
+    if isinstance(t, Var):
+        return Var(t.index)
+    return App(t.symbol, tuple(rebuild(c) for c in t.children))
 
 
 class TestCachedVariables:
@@ -195,20 +214,11 @@ class TestCachedVariables:
             assert t.variables() == first_occurrences(t), str(t)
             assert t.rank == len(first_occurrences(t))
 
-    def test_nothing_is_stored_before_the_first_read(self):
-        for text in (*TEXTS, "g(f(x1),g(x2,x1))", "f(f(g(x0,c)))"):
-            t = parse_term(text, L3)
-            str(t)
-            assert all("_variables" not in vars(u) for u in nodes(t))
-            assert t.variables() == first_occurrences(t)
-            assert all("_variables" in vars(u) for u in nodes(t))
-
     def test_equality_ignores_the_stored_variables(self):
         for t in terms_to_depth_3(seed=1, sampled=100):
-            text = str(t)
-            read, fresh = parse_term(text, L3), parse_term(text, L3)
-            read.variables()
-            assert "_variables" in vars(read) and "_variables" not in vars(fresh)
-            assert read == fresh and hash(read) == hash(fresh)
-            assert repr(read) == repr(fresh)
-            assert len({read, fresh}) == 1
+            parsed, built = parse_term(str(t), L3), rebuild(t)
+            assert "_variables" not in {f.name for f in fields(parsed)}
+            assert parsed.variables() == built.variables() == first_occurrences(t)
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert len({parsed, built}) == 1

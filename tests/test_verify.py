@@ -171,6 +171,8 @@ class TestIsomorphismChecks:
         bad = Mapping("bad", alg, alg, table)
         with pytest.raises(AlgebraSpecError):
             check_isomorphism_lemma(bad)
+        with pytest.raises(AlgebraSpecError, match="'bad' is not a homomorphism"):
+            check_first_iso_theorem(bad)
 
     def test_collapse_keeps_inclusion(self):
         homs = quotient_homomorphisms(bundled_algebra("PCOMM"))
