@@ -98,6 +98,16 @@ def clone_digest(result) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+def relation_digest(ctx) -> str:
+    """A digest of every ``RelationClass`` field of a context, in order."""
+    fields = [
+        (sorted(rc.rel_a), sorted(rc.rel_b), [str(t) for t in rc.witness], rc.trivial,
+         None if rc.rewrite_witness is None else [str(t) for t in rc.rewrite_witness])
+        for rc in ctx.relations
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 class TestGenerateClone:
     def test_empty_language_two_projections(self):
         alg = bundled_algebra("A1")
@@ -535,6 +545,31 @@ class TestRelationClasses:
         for side in ("a", "b"):
             cont = self.assert_side_indexes(ctx, side)["cont"]
             assert max(max(ids) for ids in cont.values()) > 1800
+
+    @pytest.mark.parametrize("names, max_vars, digest", [
+        (("CS4",), 1,
+         "ecb25ac4288e91aae35034217c63982d7a0d43cf2d9dfd05d6c9c4e8d70ccc60"),
+        (("Z4",), 3,
+         "b085fe2566493b052c788aab457e172c944bd58281ae888749a1b9d7ba5974d3"),
+        (("IPTRANS",), 2,
+         "ffeebbc02910f3ee5243a0c1fb7fff3049d4755a3d09ddba9742eaa444ade1fc"),
+        (("G3r2",), 2,
+         "aab1638853dd0558995c02691da03a04e9e16b93d6a19cc9a47881e34e551e2c"),
+        (("CG3",), 1,
+         "ead0fd52b34fcb5a5c0e0e915535c165dd6fabafa40cef7fc33e57fafda2f2e0"),
+        (("Z5", "Z16"), 1,
+         "3edd996f7d9778c72fe89b5cbb415662b9f7144071d6d6e09de29fcc17ad2ad3"),
+    ], ids=["CS4@1", "Z4@3", "IPTRANS@2", "G3r2@2", "CG3@1", "Z5+Z16@1"])
+    def test_relations_are_pinned(self, names, max_vars, digest):
+        """Every ``RelationClass`` field, in order, as the grouping that took
+        one frozenset per class pair built them.  Z4@3 and the Random(2)
+        groupoid (G3r2) have relations whose rewrite witness comes from a
+        later pair than their witness; IPTRANS@2 has relations whose rewrite
+        witness stays open after their first pair and never changes; CG3 has
+        constants; Z5 with Z16 has 281 arrows in two halves."""
+        algs = [random_groupoid(2) if name == "G3r2" else named_algebra(name) for name in names]
+        ctx = build_pair_context(*algs, bounds=Bounds(max_vars=max_vars))
+        assert relation_digest(ctx) == digest
 
     def test_verdict_stable_once_saturated(self):
         from aprop.proportion_sim import proportion_sim
