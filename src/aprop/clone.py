@@ -14,6 +14,7 @@ on those relation classes.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 import time
 import weakref
@@ -53,6 +54,16 @@ MAX_LEVEL_ZERO = 2**19
 # The most class pairs the relation grouping may visit, |classes|^2.  It
 # admits CS6 (a 6-cycle and a shift) at two variables, about 30 million.
 MAX_GROUP_PAIRS = 2**25
+# The most rows, summed over its class pairs, one pass of the relation
+# grouping takes; a pass holds a few bytes per row and per 8 arrows.
+_PASS_ROWS = 2**13
+# The one-hot byte of each bit position, for one 8-arrow plane.
+_BITS = bytes(1 << k for k in range(8))
+# Each 8-arrow plane's table: a code's one-hot byte, 0 outside the plane.
+_ONE_HOT = [bytes(low) + _BITS + bytes(248 - low) for low in range(0, 256, 8)]
+_KEYS = type({}.keys())
+# "0" and "1" to 0 and 1, for reading a relation int's binary digits.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class ResourceLimitError(RuntimeError):
@@ -143,7 +154,7 @@ _FORMAT = {1: "B", 2: "H", 4: "I"}  # lane width -> unsigned array/memoryview fo
 
 def _width(limit: int) -> int:
     """The narrowest lane width that holds every value below ``limit``."""
-    return next(width for width in _FORMAT if limit <= 256**width)
+    return 1 if limit <= 256 else 2 if limit <= 65536 else 4
 
 
 def _pack(values: list[int], width: int) -> int:
@@ -421,7 +432,7 @@ def generate_clone(
     return CloneResult(alg_a, alg_b, bounds, ordered, saturated, depth, levels)
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationClass:
     """An arrow generalization s -> t up to its induced binary relations.
 
@@ -585,6 +596,56 @@ class PairContext:
         return partner
 
 
+def _relation_keys(sources: bytes, targets: bytes, rows: int, width: int, arrows: int) -> list[int]:
+    """The relation of each class pair of a grouping pass, as an int whose
+    bit i is set when arrow i is among the pair's codes.
+
+    ``sources`` and ``targets`` hold ``rows`` lanes of ``width`` bytes per
+    pair, the pairs one after another; one int add of the two gives each
+    row's arrow code, carry-free as every code fits its lane.  Each 8-arrow plane is
+    one ``translate`` of the codes' low bytes to one-hot bytes, and-ed, above
+    256 arrows, with whether the codes' higher bytes are those of the plane's
+    block.  A pair's rows are or-ed into its first row by doubling spans; a
+    span reads past its pair only at rows no pair is read at.  The planes are
+    then interleaved into 64-bit words, plane q as byte q of its pair's words.
+    """
+    codes = (int.from_bytes(sources, _ORDER) + int.from_bytes(targets, _ORDER)).to_bytes(
+        len(sources), _ORDER
+    )
+    size = len(codes) // width  # rows of the pass
+    count = size // rows  # pairs
+    words = -(-arrows // 64)
+    # byte k of every code, least significant first
+    digits = [codes[k::width] for k in range(width)][:: 1 if _ORDER == "little" else -1]
+    planes = []  # one byte per pair and 8 arrows, plane after plane
+    for block in range(0, arrows, 256):
+        lows = range(0, min(256, arrows - block), 8)
+        bits = int.from_bytes(b"".join(
+            digits[0].translate(_ONE_HOT[low >> 3]) for low in lows
+        ), "little")
+        for k, digit in enumerate(digits[1:], 1):
+            high = block >> 8 * k & 255
+            bits &= int.from_bytes(
+                digit.translate(bytes(high) + b"\xff" + bytes(255 - high)) * len(lows), "little"
+            )
+        span = 1
+        while 2 * span <= rows:
+            bits |= bits >> 8 * span
+            span *= 2
+        bits |= bits >> 8 * (rows - span)
+        planes.append(bits.to_bytes(len(lows) * size, "little")[::rows])
+    planes = b"".join(planes)
+    lanes = bytearray(8 * words * count)
+    for q in range(len(planes) // count):
+        lanes[q if _ORDER == "little" else q ^ 7::8 * words] = planes[q * count:(q + 1) * count]
+    values = memoryview(lanes).cast("Q").tolist()
+    keys = values[words - 1::words]
+    for w in range(words - 2, -1, -1):
+        keys = list(map(operator.or_, map(operator.lshift, keys, itertools.repeat(64)),
+                        values[w::words]))
+    return keys
+
+
 def build_pair_context(
     alg_a: FiniteAlgebra,
     alg_b: FiniteAlgebra | None = None,
@@ -643,66 +704,149 @@ def build_pair_context(
                     best = (key, s, t)
         return best
 
-    # The relation of a class pair as one set of integer arrows: (x, y) in A
-    # is x * |A| + y, (x, y) in B is |A|^2 + x * |B| + y.  Each class packs
-    # its rows once into lanes wide enough for every arrow, as sources x and
-    # as targets y, so a pair's arrows are one int add read back lane by lane.
+    # The relation of a class pair as one int: bit x * |A| + y for (x, y) in
+    # A, bit |A|^2 + x * |B| + y for (x, y) in B.  Each class holds its rows
+    # in lanes wide enough for every arrow code, as sources (x * |A|, or
+    # |A|^2 + x * |B|) and as targets (y), so that a source plus a target is
+    # the arrow code of one row.
     same = alg_b is alg_a  # then the B half repeats the A half: A's arrows only
-    index_a, index_b = alg_a.index, alg_b.index
     size_a, size_b = len(alg_a.universe), len(alg_b.universe)
     offset = size_a * size_a
     arrows = offset if same else offset + size_b * size_b
     width = _width(arrows)
-    fmt = _FORMAT[width]
-    sources, targets = [], []
-    for c in classes:
-        codes_a = [index_a[e] for e in c.table_a]
-        codes_b = [] if same else [index_b[e] for e in c.table_b]
-        sources.append(_pack(
-            [x * size_a for x in codes_a] + [offset + x * size_b for x in codes_b], width
-        ))
-        targets.append(_pack(codes_a + codes_b, width))
-    length = width * (len(classes[0].table_a) + (0 if same else len(classes[0].table_b)))
-    full = frozenset(range(arrows))
+
+    def half(alg: FiniteAlgebra, tables: list, factor: int, base: int) -> tuple[list, list]:
+        """Per class, the lanes of base + factor * x and of x, x being each
+        row's element code in ``alg``, for one table of each class."""
+        codes = bytes(map(alg.index.__getitem__, itertools.chain.from_iterable(tables)))
+        targets, ones = bytearray(width * len(codes)), bytearray(width * len(codes))
+        lane = 0 if _ORDER == "little" else width - 1
+        targets[lane::width], ones[lane::width] = codes, b"\1" * len(codes)
+        sources = (int.from_bytes(targets, _ORDER) * factor
+                   + int.from_bytes(ones, _ORDER) * base).to_bytes(len(targets), _ORDER)
+        step = width * len(tables[0])
+        cut = range(0, len(targets), step)
+        return [sources[k:k + step] for k in cut], [bytes(targets[k:k + step]) for k in cut]
+
+    sources, targets = half(alg_a, [c.table_a for c in classes], size_a, 0)
+    if not same:
+        sources_b, targets_b = half(alg_b, [c.table_b for c in classes], size_b, offset)
+        sources = list(map(bytes.__add__, sources, sources_b))
+        targets = list(map(bytes.__add__, targets, targets_b))
+    rows = len(sources[0]) // width
+    stride = rows * width  # the bytes of one class's lanes
 
     # Visit class pairs in increasing witness-pair order, so the first pair
-    # of a relation is its witness.  A rewrite pair is never smaller than the
-    # witness pair of its classes, so a pair whose witness pair is not below
-    # the relation's rewrite witness so far cannot change it.
-    depths = [c.witness.depth() for c in classes]
-    strings = [str(c.witness) for c in classes]
+    # of a relation is its witness: by total depth, then left string, then
+    # right string.  One segment is a left class and the right classes at the
+    # matching depth, whose targets are joined once per depth.
+    witnesses = [c.witness for c in classes]
+    depths = [w.depth() for w in witnesses]
+    strings = list(map(str, witnesses))
     by_string = sorted(range(len(classes)), key=strings.__getitem__)
     at_depth: dict[int, list[int]] = {}
     for i in by_string:
         at_depth.setdefault(depths[i], []).append(i)
-    grouped: dict[frozenset[int], list] = {}
-    for total in range(2 * max(depths) + 1):
-        for i in by_string:
-            row, left = sources[i], strings[i]
-            for j in at_depth.get(total - depths[i], ()):
-                lanes = (row + targets[j]).to_bytes(length, _ORDER)
-                key = frozenset(lanes if width == 1 else memoryview(lanes).cast(fmt))
-                group = grouped.get(key)
-                if group is None:
-                    grouped[key] = [i, j, rewrite(i, j)]
-                elif group[2] is None or group[2][0] > (total, left, strings[j]):
-                    found = rewrite(i, j)
-                    if found is not None and (group[2] is None or found[0] < group[2][0]):
-                        group[2] = found
+    joined = {d: b"".join(map(targets.__getitem__, js)) for d, js in at_depth.items()}
+    del targets
 
-    # Taken last first, so each group is freed as its relation class is
-    # built; reversed afterwards into witness order.
+    segments = [
+        (i, d) for total in range(2 * max(depths) + 1) for i in by_string
+        if (d := total - depths[i]) in at_depth
+    ]
+
+    def passes():
+        """The segments cut into passes of at most ``_PASS_ROWS`` rows, and
+        one pair at least: (left ids, right ids, relation ints) per pass.  A
+        pass's sources are the left classes' repeated over their segments,
+        its targets the joined right classes'."""
+        most = max(1, _PASS_ROWS // rows)
+        lefts, rights, left_ids, right_ids = [], [], [], []
+        for i, d in segments:
+            js, start = at_depth[d], 0
+            while start < len(js):
+                end = min(len(js), start + most - len(left_ids))
+                lefts.append(sources[i] * (end - start))
+                rights.append(joined[d][start * stride:end * stride])
+                left_ids += itertools.repeat(i, end - start)
+                right_ids += js[start:end]
+                start = end
+                if len(left_ids) == most:
+                    yield left_ids, right_ids, _relation_keys(
+                        b"".join(lefts), b"".join(rights), rows, width, arrows
+                    )
+                    lefts, rights, left_ids, right_ids = [], [], [], []
+        if left_ids:
+            yield left_ids, right_ids, _relation_keys(
+                b"".join(lefts), b"".join(rights), rows, width, arrows
+            )
+
+    # Python runs only for a relation's first pair and, while its rewrite
+    # witness may still be lowered, its later pairs.  A rewrite pair is never
+    # smaller than the witness pair of its classes, and equal only when it is
+    # that pair; so a pair whose witness pair is not below the relation's
+    # rewrite witness so far settles it.
+    n = len(classes)
+    supports = [c.witnesses.keys() for c in classes]
+    grouped: dict[int, int] = {}  # relation -> its first pair, i * n + j
+    # Relation -> its least rewrite pair so far as (pair key, s, t), or None,
+    # for the relations whose first pair is not a rewrite pair.
+    later: dict[int, tuple | None] = {}
+    unsettled: set[int] = set()  # those of them a later pair may still lower
+    for left_ids, right_ids, keys in passes():
+        # the new relations in order of their first pairs, which are found by
+        # one scan of the pass from left to right
+        p = 0
+        for key in itertools.filterfalse(grouped.__contains__, dict.fromkeys(keys)):
+            p = keys.index(key, p)
+            i, j = left_ids[p], right_ids[p]
+            grouped[key] = i * n + j
+            found = rewrite(i, j)
+            if found is None or found[0] > (depths[i] + depths[j], strings[i], strings[j]):
+                later[key] = found
+                unsettled.add(key)
+        if not unsettled:
+            continue
+        # Only a pair with a rewrite pair can lower a rewrite witness: one
+        # whose left class has a witness with an occurrence set in the right
+        # class's rewrite sides.
+        visits = list(itertools.compress(range(len(keys)), map(unsettled.__contains__, keys)))
+        disjoint = map(_KEYS.isdisjoint,
+                       map(supports.__getitem__, map(left_ids.__getitem__, visits)),
+                       map(rights.__getitem__, map(right_ids.__getitem__, visits)))
+        for p in itertools.compress(visits, map(operator.not_, disjoint)):
+            key, i, j = keys[p], left_ids[p], right_ids[p]
+            if grouped[key] == i * n + j:
+                continue  # its first pair, searched above
+            best = later[key]
+            if best is not None and best[0] <= (depths[i] + depths[j], strings[i], strings[j]):
+                unsettled.discard(key)
+                continue
+            found = rewrite(i, j)
+            if found is not None and (best is None or found[0] < best[0]):
+                later[key] = found
+    full = (1 << arrows) - 1
+
+    # Taken last first, so the grouping is freed as the relation classes are
+    # built; reversed afterwards into witness order.  A relation is decoded
+    # from its int, bit i to the element pair of arrow i: the relation
+    # classes share those pairs.
+    pairs_a = list(itertools.product(alg_a.universe, repeat=2))
+    pairs_b = pairs_a if same else list(itertools.product(alg_b.universe, repeat=2))
     relations = []
     while grouped:
-        key, (i, j, found) = grouped.popitem()
-        cs, ct = classes[i], classes[j]
-        rel_a = frozenset(zip(cs.table_a, ct.table_a))
+        key, pair = grouped.popitem()
+        i, j = divmod(pair, n)
+        bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)  # byte i: bit i, 0 or 1
+        rel_a = frozenset(itertools.compress(pairs_a, bits))
+        witness = (witnesses[i], witnesses[j])
+        found = later.pop(key, witness)
         relations.append(RelationClass(
             rel_a,
-            rel_a if same else frozenset(zip(cs.table_b, ct.table_b)),
-            (cs.witness, ct.witness),
-            trivial=key == full,
-            rewrite_witness=None if found is None else found[1:],
+            rel_a if same else frozenset(itertools.compress(pairs_b, bits[offset:])),
+            witness,
+            key == full,
+            found if found is witness or found is None else found[1:],
         ))
     relations.reverse()
     return PairContext(alg_a, alg_b, clone, relations)
