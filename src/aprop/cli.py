@@ -6,7 +6,8 @@ machine-readable lines (``--format machine``).  Exit codes: 0 when the
 queried relation holds or all checks pass, 1 when it fails or a
 counterexample exists, 2 on usage or input errors, 3 when the clone
 exceeds ``--class-cap`` before it saturates, its tables would exceed
-``clone.MAX_ROWS`` rows, its level 0 would fill more than
+``clone.MAX_ROWS`` rows or hold more than ``clone.MAX_TABLE_BYTES`` bytes
+in all, its level 0 would fill more than
 ``clone.MAX_LEVEL_ZERO`` supports, one of its levels would visit more than
 ``clone.MAX_LEVEL_WORK`` combinations, the relation grouping would visit
 more than ``clone.MAX_GROUP_PAIRS`` class pairs, or memory runs out.

@@ -43,6 +43,11 @@ DEFAULT_CLASS_CAP = 100_000
 # The most rows a table may have: |U|^max_vars for each algebra.  It admits
 # the default of two variables on the largest universe, 256 elements.
 MAX_ROWS = 2**20
+# The most table bytes the classes may hold: one per row of a class's key,
+# its A table followed, on two algebras, by its B table.  A class keeps
+# about 9 bytes per such row in all.  It admits CS6 (a 6-cycle and a shift)
+# at two variables, 5,478 classes of 36 rows.
+MAX_TABLE_BYTES = 2**23
 # The most (class, occurrence set) combinations one level may visit, summed
 # over the symbols.  It admits a random 3-element groupoid at two variables,
 # about 4.5 million at its largest level.
@@ -68,10 +73,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 class ResourceLimitError(RuntimeError):
     """Class-count cap exceeded before saturation, a universe too large for
-    the clone's one-byte element codes, tables longer than ``MAX_ROWS``, a
-    level 0 of more than ``MAX_LEVEL_ZERO`` supports, a level that would
-    visit more than ``MAX_LEVEL_WORK`` combinations or a grouping that would
-    visit more than ``MAX_GROUP_PAIRS`` class pairs."""
+    the clone's one-byte element codes, tables longer than ``MAX_ROWS``,
+    classes whose tables would take more than ``MAX_TABLE_BYTES``, a level 0
+    of more than ``MAX_LEVEL_ZERO`` supports, a level that would visit more
+    than ``MAX_LEVEL_WORK`` combinations or a grouping that would visit more
+    than ``MAX_GROUP_PAIRS`` class pairs."""
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,9 @@ def generate_clone(
                 f" over the limit of {MAX_ROWS}"
             )
     rows_a, rows_b = len(alg_a.universe) ** v, len(alg_b.universe) ** v
+    length = rows_a if same else rows_a + rows_b  # a class's table bytes
+    # the class count past which the class cap or the table bytes refuse
+    most = min(bounds.class_cap, MAX_TABLE_BYTES // length)
     symbols = [(sym, rank) for sym, rank in alg_a.language.symbols if rank > 0]
     ops_a = {sym: _op_lanes(alg_a, sym, rank) for sym, rank in symbols}
     ops_b = ops_a if same else {sym: _op_lanes(alg_b, sym, rank) for sym, rank in symbols}
@@ -263,6 +272,14 @@ def generate_clone(
     def exceeded(depth: int) -> ResourceLimitError:
         return ResourceLimitError(
             f"class cap {bounds.class_cap} exceeded at depth {depth} on algebra {names}"
+        )
+
+    def overfilled(count: int, depth: int) -> ResourceLimitError:
+        if count > bounds.class_cap:
+            return exceeded(depth)
+        return ResourceLimitError(
+            f"algebra {names}: {count} classes would hold {count * length} table bytes,"
+            f" over the limit of {MAX_TABLE_BYTES}"
         )
 
     def overworked(level: int, work: int) -> ResourceLimitError:
@@ -315,6 +332,10 @@ def generate_clone(
             f"algebra {names}: level 0 would fill {slots} supports,"
             f" over the limit of {MAX_LEVEL_ZERO}"
         )
+    # Its classes are its slots, or one when every table has one row, and
+    # so take a few bytes; their tables are refused before they are built.
+    if slots * length > MAX_TABLE_BYTES:
+        raise overfilled(slots, 0)
     # the variables' tables: columns of the assignments' codes, in product order
     columns_a, columns_b = (
         list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
@@ -333,8 +354,8 @@ def generate_clone(
         known_classes = len(classes)
         frontier = commit(least, depth)
         # Later levels are refused while they are enumerated, before this.
-        if len(classes) > bounds.class_cap:
-            raise exceeded(depth)
+        if len(classes) > most:
+            raise overfilled(len(classes), depth)
         levels.append(LevelStats(
             offered, len(classes) - known_classes, len(frontier), time.process_time() - start
         ))
@@ -408,8 +429,8 @@ def generate_clone(
                         for key, known, children in zip(keys, map(depths.get, keys), last_members):
                             if known is None and key not in new_keys:
                                 new_keys.add(key)
-                                if len(classes) + len(new_keys) > bounds.class_cap:
-                                    raise exceeded(depth + 1)
+                                if len(classes) + len(new_keys) > most:
+                                    raise overfilled(len(classes) + len(new_keys), depth + 1)
                             for support, deep, last_text, term, new in children:
                                 if not (head_new or new):
                                     continue

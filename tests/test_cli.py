@@ -8,7 +8,8 @@ import pytest
 
 from aprop.cli import main
 from aprop.clone import (
-    MAX_GROUP_PAIRS, MAX_LEVEL_WORK, MAX_LEVEL_ZERO, Bounds, build_pair_context
+    MAX_GROUP_PAIRS, MAX_LEVEL_WORK, MAX_LEVEL_ZERO, MAX_TABLE_BYTES, Bounds,
+    build_pair_context,
 )
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
@@ -363,6 +364,24 @@ class TestErrors:
         assert done.stderr == (
             f"error: algebra {name!r}: level 0 would fill 2000000 supports,"
             f" over the limit of {MAX_LEVEL_ZERO}\n"
+        )
+
+    @pytest.mark.parametrize("max_vars, classes", [(12, MAX_TABLE_BYTES // 2**12 + 1), (20, 20)])
+    def test_table_bytes_beyond_the_limit_are_refused(self, tmp_path, max_vars, classes):
+        """Two-element NAND: each class holds 2^v table bytes.  At 12
+        variables the classes found while a level is enumerated pass the
+        limit long before the class cap; at 20, level 0's twenty variables
+        alone do, and they are refused before they are built."""
+        path = tmp_path / "N.alg"
+        path.write_text(
+            "algebra N { universe: a, b;"
+            " op n/2: (a,a) -> b, (a,b) -> b, (b,a) -> b, (b,b) -> a; }\n"
+        )
+        done = run_capped("--max-vars", str(max_vars), "check", str(path), "a", "b", "a", "b")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: algebra 'N': {classes} classes would hold {classes * 2**max_vars}"
+            f" table bytes, over the limit of {MAX_TABLE_BYTES}\n"
         )
 
     def test_rewrite_sides_grow_linearly_in_the_supports(self, tmp_path):

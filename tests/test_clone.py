@@ -12,6 +12,7 @@ from aprop.algebras import FiniteAlgebra, load_algebra, term_table
 from aprop.clone import (
     MAX_GROUP_PAIRS,
     MAX_ROWS,
+    MAX_TABLE_BYTES,
     Bounds,
     ResourceLimitError,
     build_pair_context,
@@ -219,6 +220,39 @@ class TestGenerateClone:
         for max_vars in (64, 10**9):
             with pytest.raises(ResourceLimitError, match="over the limit"):
                 generate_clone(small, bounds=Bounds(max_vars=max_vars))
+
+    def test_table_bytes_beyond_the_limit(self, monkeypatch):
+        """A class holds one table byte per row of each algebra's table: Z2
+        at three variables, 8 rows, has 3 classes at level 0, 7 after level
+        1 and 8 in all.  The limit admits CS6 at two variables (5,478 classes of 36
+        rows).  Level 0 is refused before its variables are built, a later
+        level as its classes are found, both algebras' rows counted."""
+        assert 5478 * 36 <= MAX_TABLE_BYTES
+        z2 = generated_algebra("Z2")
+        copy = FiniteAlgebra("Z2b", z2.language, z2.universe, z2.tables)
+        for alg_b, names, length in ((z2, "'Z2'", 8), (copy, "'Z2' with 'Z2b'", 16)):
+            for limit, count in ((3 * length - 1, 3), (6 * length, 7)):
+                monkeypatch.setattr(aprop.clone, "MAX_TABLE_BYTES", limit)
+                with pytest.raises(ResourceLimitError) as raised:
+                    generate_clone(z2, alg_b, Bounds(max_vars=3))
+                assert str(raised.value) == (
+                    f"algebra {names}: {count} classes would hold {count * length}"
+                    f" table bytes, over the limit of {limit}"
+                )
+            monkeypatch.setattr(aprop.clone, "MAX_TABLE_BYTES", 8 * length)
+            assert len(generate_clone(z2, alg_b, Bounds(max_vars=3)).classes) == 8
+        # the class cap still comes first where it is the lower bound
+        monkeypatch.setattr(aprop.clone, "MAX_TABLE_BYTES", 6 * 8)
+        with pytest.raises(ResourceLimitError, match="class cap 4 exceeded at depth 1"):
+            generate_clone(z2, bounds=Bounds(max_vars=3, class_cap=4))
+
+        def unbuilt(i):
+            raise AssertionError("a variable was built")
+
+        monkeypatch.setattr(aprop.clone, "Var", unbuilt)
+        monkeypatch.setattr(aprop.clone, "MAX_TABLE_BYTES", 3 * 8 - 1)
+        with pytest.raises(ResourceLimitError, match="3 classes would hold 24 table bytes"):
+            generate_clone(z2, bounds=Bounds(max_vars=3))
 
     def test_a_level_beyond_the_work_limit(self, monkeypatch):
         """A level's work, |every|^rank - |old|^rank summed over the symbols,
