@@ -34,3 +34,24 @@ def test_relation_classes_grow_with_the_variables(name):
             assert fewer[0] <= more[0], max_vars
             assert fewer[1] <= more[1], max_vars
         fewer = more
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [(name, (2, 3, 4)) for name in bundled_algebra_names()] + [("CS4", (2, 3))],
+    ids=[*bundled_algebra_names(), "CS4"],
+)
+def test_unary_relation_classes_are_the_same_from_two_variables(name, counts):
+    """Every op of these algebras has rank at most 1, so a term has at most
+    one variable and a term pair at most two.  Renaming variables keeps a
+    pair's relations and whether the right term's variables lie among the
+    left's, so from two variables on the relation classes, and the
+    rewrite-witnessed ones, do not change with the variable count."""
+    alg = named_algebra(name)
+    assert all(rank <= 1 for _, rank in alg.language.symbols)
+    at = {}
+    for max_vars in counts:
+        ctx = build_pair_context(alg, bounds=Bounds(max_vars=max_vars))
+        assert ctx.saturated
+        at[max_vars] = relation_pairs(ctx)
+    assert all(pairs == at[counts[0]] for pairs in at.values())
