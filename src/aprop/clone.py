@@ -681,6 +681,15 @@ def build_pair_context(
     in the order of their witnesses.  On one algebra (``alg_b`` is ``alg_a``
     or None) pairs are grouped on A's arrows only, and ``rel_b`` is ``rel_a``.
 
+    A pair's relation is keyed as one int, bit i for arrow i (see
+    ``_relation_keys``).  The pairs are visited in witness-pair order, in
+    passes of at most ``_PASS_ROWS`` rows that each key all their pairs at
+    once, so a relation's first pair is its witness.  ``dict.fromkeys``
+    dedupes a pass in that order, and one scan finds the first pair of each
+    relation not seen before.  Python runs for that pair, and for the later
+    pairs of a relation whose rewrite witness a later pair may still lower,
+    but only those with a rewrite pair at all, picked out at C level.
+
     The right sides t are found per class: a map from each occurrence set of
     the clone to the least witness whose variables lie in that set.  Each
     support reaches the occurrence sets that contain it, the intersection of
