@@ -66,7 +66,7 @@ _PASS_ROWS = 2**13
 _BITS = bytes(1 << k for k in range(8))
 # Each 8-arrow plane's table: a code's one-hot byte, 0 outside the plane.
 _ONE_HOT = [bytes(low) + _BITS + bytes(248 - low) for low in range(0, 256, 8)]
-_KEYS = type({}.keys())
+_KEYS = type({}.keys())  # its isdisjoint, mapped over two lists of key views
 # "0" and "1" to 0 and 1, for reading a relation int's binary digits.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -749,14 +749,15 @@ def build_pair_context(
         """Per class, the lanes of base + factor * x and of x, x being each
         row's element code in ``alg``, for one table of each class."""
         codes = bytes(map(alg.index.__getitem__, itertools.chain.from_iterable(tables)))
-        targets, ones = bytearray(width * len(codes)), bytearray(width * len(codes))
-        lane = 0 if _ORDER == "little" else width - 1
-        targets[lane::width], ones[lane::width] = codes, b"\1" * len(codes)
+        lanes, ones = bytearray(width * len(codes)), bytearray(width * len(codes))
+        lane = 0 if _ORDER == "little" else width - 1  # a lane's least significant byte
+        lanes[lane::width], ones[lane::width] = codes, b"\1" * len(codes)
+        targets = bytes(lanes)
         sources = (int.from_bytes(targets, _ORDER) * factor
                    + int.from_bytes(ones, _ORDER) * base).to_bytes(len(targets), _ORDER)
         step = width * len(tables[0])
         cut = range(0, len(targets), step)
-        return [sources[k:k + step] for k in cut], [bytes(targets[k:k + step]) for k in cut]
+        return [sources[k:k + step] for k in cut], [targets[k:k + step] for k in cut]
 
     sources, targets = half(alg_a, [c.table_a for c in classes], size_a, 0)
     if not same:
@@ -870,13 +871,17 @@ def build_pair_context(
         bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)  # byte i: bit i, 0 or 1
         rel_a = frozenset(itertools.compress(pairs_a, bits))
         witness = (witnesses[i], witnesses[j])
-        found = later.pop(key, witness)
+        if key in later:
+            found = later.pop(key)
+            rewrite_witness = None if found is None else found[1:]
+        else:
+            rewrite_witness = witness  # its first pair is a rewrite pair
         relations.append(RelationClass(
             rel_a,
             rel_a if same else frozenset(itertools.compress(pairs_b, bits[offset:])),
             witness,
-            key == full,
-            found if found is witness or found is None else found[1:],
+            trivial=key == full,
+            rewrite_witness=rewrite_witness,
         ))
     relations.reverse()
     return PairContext(alg_a, alg_b, clone, relations)
