@@ -60,8 +60,9 @@ MAX_LEVEL_ZERO = 2**19
 # admits CS6 (a 6-cycle and a shift) at two variables, about 30 million.
 MAX_GROUP_PAIRS = 2**25
 # The most rows, summed over its class pairs, one pass of the relation
-# grouping takes; a pass holds a few bytes per row and per 8 arrows.
-_PASS_ROWS = 2**13
+# grouping takes.  A pass holds a few bytes per row and per 8 arrows: a
+# larger one takes fewer Python steps per pair and more transient memory.
+_PASS_ROWS = 2**12
 # The one-hot byte of each bit position, for one 8-arrow plane.
 _BITS = bytes(1 << k for k in range(8))
 # Each 8-arrow plane's table: a code's one-hot byte, 0 outside the plane.
