@@ -793,24 +793,24 @@ def build_pair_context(
         pass's sources are the left classes' repeated over their segments,
         its targets the joined right classes'."""
         most = max(1, _PASS_ROWS // rows)
-        lefts, rights, left_ids, right_ids = [], [], [], []
+        left_codes, right_codes, left_ids, right_ids = [], [], [], []
         for i, d in segments:
             js, start = at_depth[d], 0
             while start < len(js):
                 end = min(len(js), start + most - len(left_ids))
-                lefts.append(sources[i] * (end - start))
-                rights.append(joined[d][start * stride:end * stride])
+                left_codes.append(sources[i] * (end - start))
+                right_codes.append(joined[d][start * stride:end * stride])
                 left_ids += itertools.repeat(i, end - start)
                 right_ids += js[start:end]
                 start = end
                 if len(left_ids) == most:
                     yield left_ids, right_ids, _relation_keys(
-                        b"".join(lefts), b"".join(rights), rows, width, arrows
+                        b"".join(left_codes), b"".join(right_codes), rows, width, arrows
                     )
-                    lefts, rights, left_ids, right_ids = [], [], [], []
+                    left_codes, right_codes, left_ids, right_ids = [], [], [], []
         if left_ids:
             yield left_ids, right_ids, _relation_keys(
-                b"".join(lefts), b"".join(rights), rows, width, arrows
+                b"".join(left_codes), b"".join(right_codes), rows, width, arrows
             )
 
     # Python runs only for a relation's first pair and, while its rewrite
