@@ -624,12 +624,13 @@ def _relation_keys(sources: bytes, targets: bytes, rows: int, width: int, arrows
 
     ``sources`` and ``targets`` hold ``rows`` lanes of ``width`` bytes per
     pair, the pairs one after another; one int add of the two gives each
-    row's arrow code, carry-free as every code fits its lane.  Each 8-arrow plane is
-    one ``translate`` of the codes' low bytes to one-hot bytes, and-ed, above
-    256 arrows, with whether the codes' higher bytes are those of the plane's
-    block.  A pair's rows are or-ed into its first row by doubling spans; a
-    span reads past its pair only at rows no pair is read at.  The planes are
-    then interleaved into 64-bit words, plane q as byte q of its pair's words.
+    row's arrow code, carry-free as every code fits its lane.  Each 8-arrow
+    plane is one ``translate`` of the codes' low bytes to one-hot bytes,
+    and-ed, above 256 arrows, with whether the codes' higher bytes are those
+    of the plane's block.  A pair's rows are or-ed into its first row by
+    doubling spans; a span reads past its pair only at rows no pair is read
+    at.  The planes are then interleaved into 64-bit words, plane q as byte q
+    of its pair's words.
     """
     codes = (int.from_bytes(sources, _ORDER) + int.from_bytes(targets, _ORDER)).to_bytes(
         len(sources), _ORDER
@@ -641,21 +642,20 @@ def _relation_keys(sources: bytes, targets: bytes, rows: int, width: int, arrows
     digits = [codes[k::width] for k in range(width)][:: 1 if _ORDER == "little" else -1]
     planes = []  # one byte per pair and 8 arrows, plane after plane
     for block in range(0, arrows, 256):
-        lows = range(0, min(256, arrows - block), 8)
-        bits = int.from_bytes(b"".join(
-            digits[0].translate(_ONE_HOT[low >> 3]) for low in lows
-        ), "little")
+        tables = _ONE_HOT[:-(-min(256, arrows - block) // 8)]  # the block's planes
+        bits = int.from_bytes(b"".join(map(digits[0].translate, tables)), "little")
         for k, digit in enumerate(digits[1:], 1):
             high = block >> 8 * k & 255
             bits &= int.from_bytes(
-                digit.translate(bytes(high) + b"\xff" + bytes(255 - high)) * len(lows), "little"
+                digit.translate(bytes(high) + b"\xff" + bytes(255 - high)) * len(tables),
+                "little",
             )
         span = 1
         while 2 * span <= rows:
             bits |= bits >> 8 * span
             span *= 2
         bits |= bits >> 8 * (rows - span)
-        planes.append(bits.to_bytes(len(lows) * size, "little")[::rows])
+        planes.append(bits.to_bytes(len(tables) * size, "little")[::rows])
     planes = b"".join(planes)
     lanes = bytearray(8 * words * count)
     for q in range(len(planes) // count):
