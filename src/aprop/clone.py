@@ -13,6 +13,7 @@ on those relation classes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import sys
@@ -782,35 +783,38 @@ def build_pair_context(
     joined = {d: b"".join(map(targets.__getitem__, js)) for d, js in at_depth.items()}
     del targets
 
-    segments = [
+    # The segments in visit order, as left class, depth of the right classes
+    # and pair count, and the pair count up to the end of each.
+    seg_i, seg_d = zip(*[
         (i, d) for total in range(2 * max(depths) + 1) for i in by_string
         if (d := total - depths[i]) in at_depth
-    ]
+    ])
+    lengths = list(map(len, map(at_depth.__getitem__, seg_d)))
+    ends = list(itertools.accumulate(lengths))
 
     def passes():
-        """The segments cut into passes of at most ``_PASS_ROWS`` rows, and
-        one pair at least: (left ids, right ids, relation ints) per pass.  A
-        pass's sources are the left classes' repeated over their segments,
-        its targets the joined right classes'."""
+        """The pairs in visit order cut into passes of at most
+        ``_PASS_ROWS`` rows, and one pair at least: (left ids, right ids,
+        relation ints) per pass.  A pass's sources are the left classes'
+        repeated over their segments, its targets the joined right classes';
+        its first and last segments may be cut."""
         most = max(1, _PASS_ROWS // rows)
-        left_codes, right_codes, left_ids, right_ids = [], [], [], []
-        for i, d in segments:
-            js, start = at_depth[d], 0
-            while start < len(js):
-                end = min(len(js), start + most - len(left_ids))
-                left_codes.append(sources[i] * (end - start))
-                right_codes.append(joined[d][start * stride:end * stride])
-                left_ids += itertools.repeat(i, end - start)
-                right_ids += js[start:end]
-                start = end
-                if len(left_ids) == most:
-                    yield left_ids, right_ids, _relation_keys(
-                        b"".join(left_codes), b"".join(right_codes), rows, width, arrows
-                    )
-                    left_codes, right_codes, left_ids, right_ids = [], [], [], []
-        if left_ids:
-            yield left_ids, right_ids, _relation_keys(
-                b"".join(left_codes), b"".join(right_codes), rows, width, arrows
+        for lo in range(0, ends[-1], most):
+            hi = min(lo + most, ends[-1])
+            a, b = bisect.bisect_right(ends, lo), bisect.bisect_left(ends, hi) + 1
+            skip, keep = lo - ends[a] + lengths[a], hi - ends[b - 1] + lengths[b - 1]
+            counts, rights = lengths[a:b], [joined[d] for d in seg_d[a:b]]
+            ids = [at_depth[d] for d in seg_d[a:b]]
+            counts[-1], rights[-1], ids[-1] = keep, rights[-1][:keep * stride], ids[-1][:keep]
+            counts[0] -= skip
+            rights[0], ids[0] = rights[0][skip * stride:], ids[0][skip:]
+            yield (
+                list(itertools.chain.from_iterable(map(itertools.repeat, seg_i[a:b], counts))),
+                list(itertools.chain.from_iterable(ids)),
+                _relation_keys(
+                    b"".join(map(bytes.__mul__, map(sources.__getitem__, seg_i[a:b]), counts)),
+                    b"".join(rights), rows, width, arrows,
+                ),
             )
 
     # Python runs only for a relation's first pair and, while its rewrite
