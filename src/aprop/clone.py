@@ -801,19 +801,22 @@ def build_pair_context(
         most = max(1, _PASS_ROWS // rows)
         for lo in range(0, ends[-1], most):
             hi = min(lo + most, ends[-1])
+            # segments a to b - 1 hold pairs lo to hi - 1: the pass skips the
+            # first pairs of segment a and keeps the first of segment b - 1
             a, b = bisect.bisect_right(ends, lo), bisect.bisect_left(ends, hi) + 1
             skip, keep = lo - ends[a] + lengths[a], hi - ends[b - 1] + lengths[b - 1]
-            counts, rights = lengths[a:b], [joined[d] for d in seg_d[a:b]]
+            counts, right_codes = lengths[a:b], [joined[d] for d in seg_d[a:b]]
             ids = [at_depth[d] for d in seg_d[a:b]]
-            counts[-1], rights[-1], ids[-1] = keep, rights[-1][:keep * stride], ids[-1][:keep]
+            counts[-1], ids[-1] = keep, ids[-1][:keep]
+            right_codes[-1] = right_codes[-1][:keep * stride]
             counts[0] -= skip
-            rights[0], ids[0] = rights[0][skip * stride:], ids[0][skip:]
+            right_codes[0], ids[0] = right_codes[0][skip * stride:], ids[0][skip:]
             yield (
                 list(itertools.chain.from_iterable(map(itertools.repeat, seg_i[a:b], counts))),
                 list(itertools.chain.from_iterable(ids)),
                 _relation_keys(
                     b"".join(map(bytes.__mul__, map(sources.__getitem__, seg_i[a:b]), counts)),
-                    b"".join(rights), rows, width, arrows,
+                    b"".join(right_codes), rows, width, arrows,
                 ),
             )
 
