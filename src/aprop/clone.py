@@ -71,6 +71,8 @@ _ONE_HOT = [bytes(low) + _BITS + bytes(248 - low) for low in range(0, 256, 8)]
 _KEYS = type({}.keys())  # its isdisjoint, mapped over two lists of key views
 # "0" and "1" to 0 and 1, for reading a relation int's binary digits.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# Per bit position k, each byte to the digit "1" when it has bit k, else "0".
+_DIGITS = [bytes(48 + (byte >> k & 1) for byte in range(256)) for k in range(8)]
 
 
 class ResourceLimitError(RuntimeError):
@@ -151,6 +153,11 @@ class CloneResult:
     # Level 0 (variables and constants), then one entry per level built; a
     # saturated build ends with the level that added nothing.
     levels: list[LevelStats] = field(default_factory=list)
+
+    @cached_property
+    def _arrows(self) -> _Arrows:
+        """The arrow numbering of the relation ints over these algebras."""
+        return _Arrows(self.alg_a, self.alg_b)
 
 
 # Inside ``generate_clone`` a table is ``bytes``, one element code
@@ -455,19 +462,92 @@ def generate_clone(
     return CloneResult(alg_a, alg_b, bounds, ordered, saturated, depth, levels)
 
 
-@dataclass(slots=True)
+class _Arrows:
+    """The arrow numbering of a build: arrow (x, y) of A is bit x * |A| + y
+    and, on two algebras, arrow (x, y) of B is bit |A|^2 + x * |B| + y of a
+    relation int.  On one algebra the B half is the A half and has no bits."""
+
+    def __init__(self, alg_a: FiniteAlgebra, alg_b: FiniteAlgebra):
+        self.pairs_a = list(itertools.product(alg_a.universe, repeat=2))
+        self.pairs_b = (
+            self.pairs_a if alg_b is alg_a else list(itertools.product(alg_b.universe, repeat=2))
+        )
+        self.offset = len(self.pairs_a)  # the first bit of the B half
+        self.count = self.offset + (0 if alg_b is alg_a else len(self.pairs_b))
+
+    def decode(self, key: int) -> tuple[frozenset, frozenset]:
+        """The (A, B) relations of ``key``; on one algebra one set, twice."""
+        bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)  # byte i: bit i, 0 or 1
+        rel_a = frozenset(itertools.compress(self.pairs_a, bits))
+        if self.pairs_b is self.pairs_a:
+            return rel_a, rel_a
+        return rel_a, frozenset(itertools.compress(self.pairs_b, bits[self.offset:]))
+
+    def encode(self, rel_a: frozenset, rel_b: frozenset) -> int:
+        """The int of a pair of relations, ``decode``'s inverse."""
+        key = sum(1 << k for k, pair in enumerate(self.pairs_a) if pair in rel_a)
+        if self.pairs_b is not self.pairs_a:
+            key |= sum(1 << k for k, pair in enumerate(self.pairs_b, self.offset) if pair in rel_b)
+        return key
+
+
 class RelationClass:
     """An arrow generalization s -> t up to its induced binary relations.
 
     ``rel_a`` is always the relation in the first algebra of the build, also
     when the class is read through ``swapped()``; on one algebra it is ``rel_b``.
+    A class that ``build_pair_context`` makes keeps the two as one int,
+    ``key``, over the build's arrow numbering (``_Arrows``), and decodes
+    ``rel_a`` and ``rel_b`` on their first read.  A class built from the two
+    sets has no key (None); its context encodes the sets when it builds its
+    masks.  Classes compare equal when every field, read as sets, is equal.
     """
 
-    rel_a: frozenset[tuple[Element, Element]]
-    rel_b: frozenset[tuple[Element, Element]]
-    witness: tuple[Term, Term]
-    trivial: bool
-    rewrite_witness: tuple[Term, Term] | None = None
+    __slots__ = ("key", "_arrows", "_rel_a", "_rel_b", "witness", "trivial", "rewrite_witness")
+
+    def __init__(
+        self,
+        rel_a: frozenset[tuple[Element, Element]],
+        rel_b: frozenset[tuple[Element, Element]],
+        witness: tuple[Term, Term],
+        trivial: bool,
+        rewrite_witness: tuple[Term, Term] | None = None,
+    ):
+        self.key, self._arrows, self._rel_a, self._rel_b = None, None, rel_a, rel_b
+        self.witness, self.trivial, self.rewrite_witness = witness, trivial, rewrite_witness
+
+    @classmethod
+    def _of_key(cls, key: int, arrows: _Arrows, witness, trivial, rewrite_witness) -> RelationClass:
+        """A class holding its relations as ``key``, decoded by ``arrows`` on read."""
+        rc = cls.__new__(cls)
+        rc.key, rc._arrows, rc._rel_a, rc._rel_b = key, arrows, None, None
+        rc.witness, rc.trivial, rc.rewrite_witness = witness, trivial, rewrite_witness
+        return rc
+
+    @property
+    def rel_a(self) -> frozenset[tuple[Element, Element]]:
+        if self._rel_a is None:
+            self._rel_a, self._rel_b = self._arrows.decode(self.key)
+        return self._rel_a
+
+    @property
+    def rel_b(self) -> frozenset[tuple[Element, Element]]:
+        if self._rel_b is None:
+            self._rel_a, self._rel_b = self._arrows.decode(self.key)
+        return self._rel_b
+
+    def _fields(self) -> tuple:
+        return self.rel_a, self.rel_b, self.witness, self.trivial, self.rewrite_witness
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RelationClass):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("rel_a", "rel_b", "witness", "trivial", "rewrite_witness")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields()))
+        return f"RelationClass({fields})"
 
     @property
     def has_rewrite_witness(self) -> bool:
@@ -484,18 +564,21 @@ def _pair_key(s: Term, t: Term) -> tuple[int, str, str]:
     return (depth_s + depth_t, str_s, str_t)
 
 
-def _masks(keys, member_sets: list) -> dict:
-    """Key -> int with bit i set when ``member_sets[i]`` contains the key.
+def _columns(keys: list[int], size: int, lo: int, hi: int) -> list[int]:
+    """Bits lo to hi - 1 of keys below 2^``size``, each as one int whose bit i
+    is that bit of ``keys[i]``: columns of a bit matrix with one key per row.
 
-    Each key's bits are written as binary digits after one leading 0 and
-    parsed once: linear in the set count, where or-ing in bits is quadratic.
+    The keys, last first, are laid out as bytes, ceil(size / 8) per key, so
+    byte q of every key is one strided slice: a plane of 8 bits.  Each bit of
+    a plane becomes binary digits by one ``translate`` and one int by one
+    parse: linear in the key count per bit, where or-ing in bits is quadratic.
     """
-    count = len(member_sets)
-    digits = {key: bytearray(b"0") * (count + 1) for key in keys}
-    for i, members in enumerate(member_sets):
-        for key in members:
-            digits[key][count - i] = 49  # "1"
-    return {key: int(row, 2) for key, row in digits.items()}
+    width = -(-size // 8)
+    lanes = b"".join(map(
+        int.to_bytes, reversed(keys), itertools.repeat(width), itertools.repeat("little")
+    ))
+    planes = {q: lanes[q::width] for q in range(lo >> 3, -(-hi // 8))}
+    return [int(planes[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(lo, hi)]
 
 
 class _IdView(Mapping):
@@ -521,7 +604,9 @@ class PairContext:
     The indexes map an element or arrow of one side to ids: positions in
     ``clone.classes`` (``elem_up_*``) or ``relations`` (``cont_*``, ``jus_*``).
     Each is computed once, on first use, as int masks (``*_masks``, bit i for
-    id i) that the kernel reads; ``cont_a``, ``jus_a`` and ``elem_up_a`` are
+    id i) that the kernel reads: each mask is one bit column of the relation
+    ints (``RelationClass.key``), or of the classes' images as ints, read
+    across all ids at once.  ``cont_a``, ``jus_a`` and ``elem_up_a`` are
     read-only views of them, decoded to frozensets per read.  ``swapped()`` is
     the context on (B, A): on one algebra the context itself, with one memo;
     on two a mirror owned by the side that built it, sharing ``clone`` and
@@ -553,24 +638,36 @@ class PairContext:
 
     @cached_property
     def cont_masks(self) -> dict[tuple[Element, Element], int]:
-        """Arrow -> bit i set for each non-trivial relation class i containing it in A."""
-        rel = "rel_a" if self.alg_a is self.clone.alg_a else "rel_b"
-        sets = [() if rc.trivial else getattr(rc, rel) for rc in self.relations]
-        return _masks(itertools.product(self.alg_a.universe, repeat=2), sets)
+        """Arrow -> bit i set for each non-trivial relation class i containing it in A.
+
+        One bit column of the relation ints per arrow of the build (see
+        ``_columns``); the A side reads the first half, the B side the second.
+        """
+        arrows = self.clone._arrows
+        keys = [
+            0 if rc.trivial else arrows.encode(rc.rel_a, rc.rel_b) if rc.key is None else rc.key
+            for rc in self.relations
+        ]
+        if self.alg_a is self.clone.alg_a:
+            return dict(zip(arrows.pairs_a, _columns(keys, arrows.count, 0, arrows.offset)))
+        return dict(zip(arrows.pairs_b, _columns(keys, arrows.count, arrows.offset, arrows.count)))
 
     @cached_property
     def jus_masks(self) -> dict[tuple[Element, Element], int]:
         """``cont_masks`` restricted to the rewrite-witnessed relation classes."""
-        witnessed = [(0,) if rc.has_rewrite_witness else () for rc in self.relations]
-        rewritten = _masks([0], witnessed)[0]
+        (rewritten,) = _columns([rc.has_rewrite_witness for rc in self.relations], 1, 0, 1)
         return {ar: mask & rewritten for ar, mask in self.cont_masks.items()}
 
     @cached_property
     def elem_up_masks(self) -> dict[Element, int]:
         """Element -> bit i set for each non-trivial class i whose A-image contains it."""
         image = "image_a" if self.alg_a is self.clone.alg_a else "image_b"
-        sets = [() if self.class_trivial(c) else getattr(c, image) for c in self.clone.classes]
-        return _masks(self.alg_a.universe, sets)
+        bit = {e: 1 << k for k, e in enumerate(self.alg_a.universe)}
+        keys = [
+            0 if self.class_trivial(c) else sum(map(bit.__getitem__, getattr(c, image)))
+            for c in self.clone.classes
+        ]
+        return dict(zip(self.alg_a.universe, _columns(keys, len(bit), 0, len(bit))))
 
     @cached_property
     def cont_a(self) -> Mapping[tuple[Element, Element], frozenset[int]]:
@@ -688,9 +785,11 @@ def build_pair_context(
     passes of at most ``_PASS_ROWS`` rows that each key all their pairs at
     once, so a relation's first pair is its witness.  ``dict.fromkeys``
     dedupes a pass in that order, and one scan finds the first pair of each
-    relation not seen before.  Python runs for that pair, and for the later
-    pairs of a relation whose rewrite witness a later pair may still lower,
-    but only those with a rewrite pair at all, picked out at C level.
+    relation not seen before.  Python runs for that pair, unless the right
+    witness's variables lie among the left's (then the witness pair is the
+    rewrite witness), and for the later pairs of a relation whose rewrite
+    witness a later pair may still lower, but only those with a rewrite pair
+    at all, picked out at C level.  Each relation class keeps its int.
 
     The right sides t are found per class: a map from each occurrence set of
     the clone to the least witness whose variables lie in that set.  Each
@@ -736,15 +835,14 @@ def build_pair_context(
                     best = (key, s, t)
         return best
 
-    # The relation of a class pair as one int: bit x * |A| + y for (x, y) in
-    # A, bit |A|^2 + x * |B| + y for (x, y) in B.  Each class holds its rows
-    # in lanes wide enough for every arrow code, as sources (x * |A|, or
-    # |A|^2 + x * |B|) and as targets (y), so that a source plus a target is
-    # the arrow code of one row.
+    # The relation of a class pair as one int over the arrows numbered by
+    # ``_Arrows``.  Each class holds its rows in lanes wide enough for every
+    # arrow code, as sources (x * |A|, or |A|^2 + x * |B|) and as targets
+    # (y), so that a source plus a target is the arrow code of one row.
     same = alg_b is alg_a  # then the B half repeats the A half: A's arrows only
     size_a, size_b = len(alg_a.universe), len(alg_b.universe)
-    offset = size_a * size_a
-    arrows = offset if same else offset + size_b * size_b
+    numbering = clone._arrows
+    offset, arrows = numbering.offset, numbering.count
     width = _width(arrows)
 
     def half(alg: FiniteAlgebra, tables: list, factor: int, base: int) -> tuple[list, list]:
@@ -827,6 +925,7 @@ def build_pair_context(
     # rewrite witness so far settles it.
     n = len(classes)
     supports = [c.witnesses.keys() for c in classes]
+    occurrences = [c.supports[0][0] for c in classes]  # each witness's variables
     grouped: dict[int, int] = {}  # relation -> its first pair, i * n + j
     # Relation -> its least rewrite pair so far as (pair key, s, t), or None,
     # for the relations whose first pair is not a rewrite pair.
@@ -840,6 +939,8 @@ def build_pair_context(
             p = keys.index(key, p)
             i, j = left_ids[p], right_ids[p]
             grouped[key] = i * n + j
+            if occurrences[j] <= occurrences[i]:
+                continue  # its witness pair is a rewrite pair, so the least one
             found = rewrite(i, j)
             if found is None or found[0] > (depths[i] + depths[j], strings[i], strings[j]):
                 later[key] = found
@@ -864,32 +965,18 @@ def build_pair_context(
             found = rewrite(i, j)
             if found is not None and (best is None or found[0] < best[0]):
                 later[key] = found
+    # Each relation class keeps its int, decoded to element pairs on read.
     full = (1 << arrows) - 1
-
-    # Taken last first, so the grouping is freed as the relation classes are
-    # built; reversed afterwards into witness order.  A relation is decoded
-    # from its int, bit i to the element pair of arrow i: the relation
-    # classes share those pairs.
-    pairs_a = list(itertools.product(alg_a.universe, repeat=2))
-    pairs_b = pairs_a if same else list(itertools.product(alg_b.universe, repeat=2))
     relations = []
-    while grouped:
-        key, pair = grouped.popitem()
+    for key, pair in grouped.items():
         i, j = divmod(pair, n)
-        bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)  # byte i: bit i, 0 or 1
-        rel_a = frozenset(itertools.compress(pairs_a, bits))
         witness = (witnesses[i], witnesses[j])
         if key in later:
-            found = later.pop(key)
+            found = later[key]
             rewrite_witness = None if found is None else found[1:]
         else:
             rewrite_witness = witness  # its first pair is a rewrite pair
-        relations.append(RelationClass(
-            rel_a,
-            rel_a if same else frozenset(itertools.compress(pairs_b, bits[offset:])),
-            witness,
-            trivial=key == full,
-            rewrite_witness=rewrite_witness,
-        ))
-    relations.reverse()
+        relations.append(
+            RelationClass._of_key(key, numbering, witness, key == full, rewrite_witness)
+        )
     return PairContext(alg_a, alg_b, clone, relations)

@@ -2,10 +2,16 @@
 definitions alone.  They need no oracle, so they reach whatever the engine
 can build."""
 
+import itertools
+import random
+
 import pytest
 
 from aprop.clone import Bounds, build_pair_context
-from aprop.verify import bundled_algebra_names
+from aprop.proportion_rw import RW, proportion_rw
+from aprop.proportion_sim import SIM, proportion_sim
+from aprop.verdicts import POLICIES
+from aprop.verify import bundled_algebra_names, random_relabeling
 
 from test_arrow_memo import QUOTIENT_PAIRS
 from test_clone import named_algebra
@@ -46,12 +52,34 @@ def test_unary_relation_classes_are_the_same_from_two_variables(name, counts):
     one variable and a term pair at most two.  Renaming variables keeps a
     pair's relations and whether the right term's variables lie among the
     left's, so from two variables on the relation classes, and the
-    rewrite-witnessed ones, do not change with the variable count."""
+    rewrite-witnessed ones, do not change with the variable count; nor do
+    the verdicts, which read only those: the quadruple tables of ``sim``
+    under both policies and of ``rw`` are the same at every count."""
     alg = named_algebra(name)
     assert all(rank <= 1 for _, rank in alg.language.symbols)
     at = {}
     for max_vars in counts:
         ctx = build_pair_context(alg, bounds=Bounds(max_vars=max_vars))
         assert ctx.saturated
-        at[max_vars] = relation_pairs(ctx)
-    assert all(pairs == at[counts[0]] for pairs in at.values())
+        tables = [SIM.table(ctx, policy) for policy in POLICIES] + [RW.table(ctx, None)]
+        at[max_vars] = (relation_pairs(ctx), tables)
+    assert all(found == at[counts[0]] for found in at.values())
+
+
+@pytest.mark.parametrize("name", ["A2:collapse-3", "collapse-1:EAABB"])
+def test_relabeling_the_first_algebra_keeps_every_verdict(name):
+    """An isomorphism h of A carries every term's table on A to its table on
+    hA, so each relation class of (A, B) is one of (hA, B) with its A half
+    relabeled: a:b against c:d on (A, B) is ha:hb against c:d on (hA, B)."""
+    alg_a, alg_b = QUOTIENT_PAIRS[name]
+    h = random_relabeling(alg_a, random.Random(name))
+    ctx = build_pair_context(alg_a, alg_b)
+    relabeled = build_pair_context(h.target, alg_b)
+    for a, b, c, d in itertools.product(alg_a.universe, alg_a.universe,
+                                        alg_b.universe, alg_b.universe):
+        image = (h(a), h(b), c, d)
+        for policy in POLICIES:
+            assert bool(proportion_sim(a, b, c, d, ctx, policy)) == bool(
+                proportion_sim(*image, relabeled, policy)), (a, b, c, d, policy)
+        assert bool(proportion_rw(a, b, c, d, ctx)) == bool(
+            proportion_rw(*image, relabeled)), (a, b, c, d)
