@@ -463,32 +463,33 @@ def generate_clone(
 
 
 class _Arrows:
-    """The arrow numbering of a build: arrow (x, y) of A is bit x * |A| + y
-    and, on two algebras, arrow (x, y) of B is bit |A|^2 + x * |B| + y of a
-    relation int.  On one algebra the B half is the A half and has no bits."""
+    """The arrow numbering of a build as its halves, each (algebra, arrows in
+    bit order, first bit): arrow (x, y) of A is bit x * |A| + y and, on two
+    algebras, arrow (x, y) of B is bit |A|^2 + x * |B| + y of a relation int.
+    On one algebra there is one half, A's, and it stands for B too."""
 
     def __init__(self, alg_a: FiniteAlgebra, alg_b: FiniteAlgebra):
-        self.pairs_a = list(itertools.product(alg_a.universe, repeat=2))
-        self.pairs_b = (
-            self.pairs_a if alg_b is alg_a else list(itertools.product(alg_b.universe, repeat=2))
-        )
-        self.offset = len(self.pairs_a)  # the first bit of the B half
-        self.count = self.offset + (0 if alg_b is alg_a else len(self.pairs_b))
+        self.halves, self.count = [], 0  # count: the bits of a relation int
+        for alg in (alg_a,) if alg_b is alg_a else (alg_a, alg_b):
+            pairs = list(itertools.product(alg.universe, repeat=2))
+            self.halves.append((alg, pairs, self.count))
+            self.count += len(pairs)
 
     def decode(self, key: int) -> tuple[frozenset, frozenset]:
         """The (A, B) relations of ``key``; on one algebra one set, twice."""
         bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)  # byte i: bit i, 0 or 1
-        rel_a = frozenset(itertools.compress(self.pairs_a, bits))
-        if self.pairs_b is self.pairs_a:
-            return rel_a, rel_a
-        return rel_a, frozenset(itertools.compress(self.pairs_b, bits[self.offset:]))
+        rels = [
+            frozenset(itertools.compress(pairs, bits[first:])) for _, pairs, first in self.halves
+        ]
+        return rels[0], rels[-1]
 
     def encode(self, rel_a: frozenset, rel_b: frozenset) -> int:
         """The int of a pair of relations, ``decode``'s inverse."""
-        key = sum(1 << k for k, pair in enumerate(self.pairs_a) if pair in rel_a)
-        if self.pairs_b is not self.pairs_a:
-            key |= sum(1 << k for k, pair in enumerate(self.pairs_b, self.offset) if pair in rel_b)
-        return key
+        return sum(
+            1 << k
+            for (_, pairs, first), rel in zip(self.halves, (rel_a, rel_b))
+            for k, pair in enumerate(pairs, first) if pair in rel
+        )
 
 
 class RelationClass:
@@ -648,9 +649,9 @@ class PairContext:
             0 if rc.trivial else arrows.encode(rc.rel_a, rc.rel_b) if rc.key is None else rc.key
             for rc in self.relations
         ]
-        if self.alg_a is self.clone.alg_a:
-            return dict(zip(arrows.pairs_a, _columns(keys, arrows.count, 0, arrows.offset)))
-        return dict(zip(arrows.pairs_b, _columns(keys, arrows.count, arrows.offset, arrows.count)))
+        for alg, pairs, first in arrows.halves:
+            if alg is self.alg_a:
+                return dict(zip(pairs, _columns(keys, arrows.count, first, first + len(pairs))))
 
     @cached_property
     def jus_masks(self) -> dict[tuple[Element, Element], int]:
@@ -780,16 +781,17 @@ def build_pair_context(
     in the order of their witnesses.  On one algebra (``alg_b`` is ``alg_a``
     or None) pairs are grouped on A's arrows only, and ``rel_b`` is ``rel_a``.
 
-    A pair's relation is keyed as one int, bit i for arrow i (see
-    ``_relation_keys``).  The pairs are visited in witness-pair order, in
-    passes of at most ``_PASS_ROWS`` rows that each key all their pairs at
-    once, so a relation's first pair is its witness.  ``dict.fromkeys``
-    dedupes a pass in that order, and one scan finds the first pair of each
-    relation not seen before.  Python runs for that pair, unless the right
-    witness's variables lie among the left's (then the witness pair is the
-    rewrite witness), and for the later pairs of a relation whose rewrite
-    witness a later pair may still lower, but only those with a rewrite pair
-    at all, picked out at C level.  Each relation class keeps its int.
+    A pair's relation is keyed as one int, bit i for arrow i of the halves
+    of ``_Arrows`` (see ``_relation_keys``).  The pairs are visited in
+    witness-pair order, in passes of at most ``_PASS_ROWS`` rows that each
+    key all their pairs at once, so a relation's first pair is its witness.
+    ``dict.fromkeys`` dedupes a pass in that order, and one scan records the
+    first pair of each relation not seen before.  A relation is settled
+    there when the right witness's variables lie among the left's (then the
+    witness pair is the rewrite witness); any other starts with none.  One
+    rewrite scan then runs Python for the pairs, first or later, of the
+    relations not yet settled, but only those with a rewrite pair at all,
+    picked out at C level.  Each relation class keeps its int.
 
     The right sides t are found per class: a map from each occurrence set of
     the clone to the least witness whose variables lie in that set.  Each
@@ -839,31 +841,30 @@ def build_pair_context(
     # ``_Arrows``.  Each class holds its rows in lanes wide enough for every
     # arrow code, as sources (x * |A|, or |A|^2 + x * |B|) and as targets
     # (y), so that a source plus a target is the arrow code of one row.
-    same = alg_b is alg_a  # then the B half repeats the A half: A's arrows only
-    size_a, size_b = len(alg_a.universe), len(alg_b.universe)
     numbering = clone._arrows
-    offset, arrows = numbering.offset, numbering.count
+    arrows = numbering.count
     width = _width(arrows)
 
-    def half(alg: FiniteAlgebra, tables: list, factor: int, base: int) -> tuple[list, list]:
-        """Per class, the lanes of base + factor * x and of x, x being each
+    def half(alg: FiniteAlgebra, tables: list, first: int) -> tuple[list, list]:
+        """Per class, the lanes of first + |U| * x and of x, x being each
         row's element code in ``alg``, for one table of each class."""
         codes = bytes(map(alg.index.__getitem__, itertools.chain.from_iterable(tables)))
         lanes, ones = bytearray(width * len(codes)), bytearray(width * len(codes))
         lane = 0 if _ORDER == "little" else width - 1  # a lane's least significant byte
         lanes[lane::width], ones[lane::width] = codes, b"\1" * len(codes)
         targets = bytes(lanes)
-        sources = (int.from_bytes(targets, _ORDER) * factor
-                   + int.from_bytes(ones, _ORDER) * base).to_bytes(len(targets), _ORDER)
+        sources = (int.from_bytes(targets, _ORDER) * len(alg.universe)
+                   + int.from_bytes(ones, _ORDER) * first).to_bytes(len(targets), _ORDER)
         step = width * len(tables[0])
         cut = range(0, len(targets), step)
         return [sources[k:k + step] for k in cut], [targets[k:k + step] for k in cut]
 
-    sources, targets = half(alg_a, [c.table_a for c in classes], size_a, 0)
-    if not same:
-        sources_b, targets_b = half(alg_b, [c.table_b for c in classes], size_b, offset)
-        sources = list(map(bytes.__add__, sources, sources_b))
-        targets = list(map(bytes.__add__, targets, targets_b))
+    # A's rows, then on two algebras B's: one half per table of a class.
+    sources = targets = [b""] * len(classes)
+    for (alg, _, first), table in zip(numbering.halves, ("table_a", "table_b")):
+        sources_half, targets_half = half(alg, [getattr(c, table) for c in classes], first)
+        sources = list(map(bytes.__add__, sources, sources_half))
+        targets = list(map(bytes.__add__, targets, targets_half))
     rows = len(sources[0]) // width
     stride = rows * width  # the bytes of one class's lanes
 
@@ -919,10 +920,10 @@ def build_pair_context(
             )
 
     # Python runs only for a relation's first pair and, while its rewrite
-    # witness may still be lowered, its later pairs.  A rewrite pair is never
-    # smaller than the witness pair of its classes, and equal only when it is
-    # that pair; so a pair whose witness pair is not below the relation's
-    # rewrite witness so far settles it.
+    # witness may still be lowered, its pairs with a rewrite pair.  A rewrite
+    # pair is never smaller than the witness pair of its classes, and equal
+    # only when it is that pair; so a pair whose witness pair is not below
+    # the relation's rewrite witness so far settles it.
     n = len(classes)
     supports = [c.witnesses.keys() for c in classes]
     occurrences = [c.supports[0][0] for c in classes]  # each witness's variables
@@ -930,7 +931,7 @@ def build_pair_context(
     # Relation -> its least rewrite pair so far as (pair key, s, t), or None,
     # for the relations whose first pair is not a rewrite pair.
     later: dict[int, tuple | None] = {}
-    unsettled: set[int] = set()  # those of them a later pair may still lower
+    unsettled: set[int] = set()  # those of them a pair may still lower
     for left_ids, right_ids, keys in passes():
         # the new relations in order of their first pairs, which are found by
         # one scan of the pass from left to right
@@ -939,25 +940,21 @@ def build_pair_context(
             p = keys.index(key, p)
             i, j = left_ids[p], right_ids[p]
             grouped[key] = i * n + j
-            if occurrences[j] <= occurrences[i]:
-                continue  # its witness pair is a rewrite pair, so the least one
-            found = rewrite(i, j)
-            if found is None or found[0] > (depths[i] + depths[j], strings[i], strings[j]):
-                later[key] = found
+            # a witness pair that is a rewrite pair is the least one: settled
+            if not occurrences[j] <= occurrences[i]:
+                later[key] = None
                 unsettled.add(key)
         if not unsettled:
             continue
         # Only a pair with a rewrite pair can lower a rewrite witness: one
         # whose left class has a witness with an occurrence set in the right
-        # class's rewrite sides.
+        # class's rewrite sides.  First and later pairs alike, in pass order.
         visits = list(itertools.compress(range(len(keys)), map(unsettled.__contains__, keys)))
         disjoint = map(_KEYS.isdisjoint,
                        map(supports.__getitem__, map(left_ids.__getitem__, visits)),
                        map(rights.__getitem__, map(right_ids.__getitem__, visits)))
         for p in itertools.compress(visits, map(operator.not_, disjoint)):
             key, i, j = keys[p], left_ids[p], right_ids[p]
-            if grouped[key] == i * n + j:
-                continue  # its first pair, searched above
             best = later[key]
             if best is not None and best[0] <= (depths[i] + depths[j], strings[i], strings[j]):
                 unsettled.discard(key)

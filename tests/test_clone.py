@@ -758,8 +758,19 @@ algebra CG3 {
 """
 
 
+def with_op(alg: FiniteAlgebra, sym: str, rank: int, op) -> FiniteAlgebra:
+    """``alg`` with one more op ``sym`` of rank ``rank``, computed by ``op``."""
+    table = {args: op(*args) for args in itertools.product(alg.universe, repeat=rank)}
+    language = Language(alg.language.symbols + ((sym, rank),))
+    return FiniteAlgebra(alg.name, language, alg.universe, {**alg.tables, sym: table})
+
+
 def named_algebra(name: str) -> FiniteAlgebra:
-    """A bundled algebra, ``CG3`` or a generated algebra, by name."""
+    """A bundled algebra, ``CG3`` or a generated algebra, by name; ``<name>+z``
+    is that algebra with a constant ``z`` naming its first element."""
+    if name.endswith("+z"):
+        alg = named_algebra(name[:-2])
+        return with_op(alg, "z", 0, lambda: alg.universe[0])
     if name in bundled_algebra_names():
         return bundled_algebra(name)
     if name == "CG3":
@@ -773,7 +784,9 @@ def named_algebra(name: str) -> FiniteAlgebra:
     # one-byte lanes for ops and keys, up to 27 rows; then two-byte lanes:
     # Z17 for its binary op and its relation keys (17^2 > 256), T7 for its
     # ternary op (7^3 > 256)
-    + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1), ("Z3", 3), ("Z17", 1), ("T7", 1)],
+    + [("CS3", 1), ("Z2", 2), ("J3", 2), ("CG3", 1), ("Z3", 3), ("Z17", 1), ("T7", 1)]
+    # unary ops with a constant: the empty occurrence set is a rewrite side
+    + [("CS3+z", 2), ("PCOMM+z", 2)],
 )
 def test_build_matches_reference(name, max_vars):
     alg = named_algebra(name)

@@ -11,10 +11,10 @@ from aprop.clone import Bounds, build_pair_context
 from aprop.proportion_rw import RW, proportion_rw
 from aprop.proportion_sim import SIM, proportion_sim
 from aprop.verdicts import POLICIES
-from aprop.verify import bundled_algebra_names, random_relabeling
+from aprop.verify import bundled_algebra, bundled_algebra_names, random_relabeling
 
 from test_arrow_memo import QUOTIENT_PAIRS
-from test_clone import named_algebra
+from test_clone import named_algebra, with_op
 
 
 def relation_pairs(ctx):
@@ -83,3 +83,31 @@ def test_relabeling_the_first_algebra_keeps_every_verdict(name):
                 proportion_sim(*image, relabeled, policy)), (a, b, c, d, policy)
         assert bool(proportion_rw(a, b, c, d, ctx)) == bool(
             proportion_rw(*image, relabeled)), (a, b, c, d)
+
+
+@pytest.mark.parametrize("name", [
+    name for name in bundled_algebra_names()
+    if any(rank == 1 for _, rank in bundled_algebra(name).language.symbols)
+])
+def test_a_derived_op_keeps_every_relation_and_verdict(name):
+    """An op interpreted by a term operation of the clone adds no term
+    operation, so the relation classes are those of the same pairs of term
+    operations, and so is every ``sim`` verdict.  ff = f∘f uses its variable
+    as f(f(x)) does, so each class also keeps its occurrence sets: the
+    rewrite-witnessed classes and every ``rw`` verdict stay too.  q(x, y) =
+    f(x) drops y, so q(x0, x1) gives f(x0) a new occurrence set, and only
+    the ``sim`` side is kept."""
+    alg = named_algebra(name)
+    f = next(sym for sym, rank in alg.language.symbols if rank == 1)
+
+    def verdicts(algebra):
+        ctx = build_pair_context(algebra, bounds=Bounds(max_vars=2))
+        assert ctx.saturated
+        sim = [SIM.table(ctx, policy) for policy in POLICIES]
+        return relation_pairs(ctx), sim, RW.table(ctx, None)
+
+    pairs, sim, rw = verdicts(alg)
+    ff = with_op(alg, "ff", 1, lambda x: alg.apply(f, (alg.apply(f, (x,)),)))
+    assert verdicts(ff) == (pairs, sim, rw)
+    (every, _), sim_q, _ = verdicts(with_op(alg, "q", 2, lambda x, y: alg.apply(f, (x,))))
+    assert (every, sim_q) == (pairs[0], sim)

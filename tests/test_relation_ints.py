@@ -79,13 +79,14 @@ def test_one_algebra_decodes_one_relation_for_both_halves():
 def test_classes_built_from_frozensets_give_the_same_masks(algs, max_vars):
     """A relation class made of frozensets gets its int from the encoder; the
     masks of a context of such classes equal the built context's, and so do
-    the classes."""
+    the classes and their reprs."""
     ctx = build(algs, max_vars)
     rebuilt = PairContext(ctx.alg_a, ctx.alg_b, ctx.clone, [
         RelationClass(rc.rel_a, rc.rel_b, rc.witness, rc.trivial, rc.rewrite_witness)
         for rc in ctx.relations
     ])
     assert rebuilt.relations == ctx.relations
+    assert list(map(repr, rebuilt.relations)) == list(map(repr, ctx.relations))
     assert all(rc.key is None for rc in rebuilt.relations)
     for got, want in ((rebuilt, ctx), (rebuilt.swapped(), ctx.swapped())):
         assert got.cont_masks == want.cont_masks
