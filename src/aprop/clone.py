@@ -154,6 +154,17 @@ class CloneResult:
     # saturated build ends with the level that added nothing.
     levels: list[LevelStats] = field(default_factory=list)
 
+    @property
+    def complete(self) -> bool:
+        """Whether the relation classes, and so every verdict, are those of
+        every variable count: every op has rank at most 1, ``max_vars`` is at
+        least 2 and the clone saturated (README, "Library", gives the argument)."""
+        return (
+            self.saturated
+            and self.bounds.max_vars >= 2
+            and all(rank <= 1 for _, rank in self.alg_a.language.symbols)
+        )
+
     @cached_property
     def _arrows(self) -> _Arrows:
         """The arrow numbering of the relation ints over these algebras."""
@@ -628,6 +639,12 @@ class PairContext:
     # Beside it, the quadruple tables of this side read by the sweeps:
     # (arrow relation, policy) -> one int of (c, d) bits per row (a, b).
     quad_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The premise facts of ``proportion_rw.uniqueness_lemma_check`` on this
+    # side, not shared with a mirror, as they are read in (A, B) order:
+    # rule string -> (rule string, facts on A, facts on B), built by
+    # ``term_table`` on the first check of the rule.  They hold elements, sets
+    # and the string only, so they reference no context.
+    rule_facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def saturated(self) -> bool:

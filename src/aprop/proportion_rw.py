@@ -8,6 +8,7 @@ similarity-based relation and the source of their divergence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebras import Element, FiniteAlgebra, term_table
@@ -115,6 +116,22 @@ def is_characteristic_r_justification_set(
     return is_characteristic_set(rels_a, rels_b, ar1, ar2, competitors)
 
 
+def _rule_facts(rule: RewriteRule, alg: FiniteAlgebra) -> tuple[set, set, set]:
+    """The premise facts of s ->> t on ``alg``, from the value tables of s and t
+    over the variables of s: the pairs (s(o), t(o)), the elements with one
+    solution of s, and those with one solution of t over t's own variables.
+    e = t(x) has one solution exactly when e fills |U|^free cells of t's
+    table, where free counts the variables of s that t lacks.
+    """
+    s_table, t_table = _tables(rule.lhs, rule.rhs, alg, rule.lhs.variables())
+    once = len(alg.universe) ** (len(rule.lhs.variables()) - len(rule.rhs.variables()))
+    return (
+        set(zip(s_table, t_table)),
+        {e for e, n in Counter(s_table).items() if n == 1},
+        {e for e, n in Counter(t_table).items() if n == once},
+    )
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     rule: str
@@ -142,40 +159,32 @@ def uniqueness_lemma_check(
 ) -> UniquenessReport:
     """Evaluate both implications of the uniqueness result on one instance.
 
-    The member and premise fields read the value tables of s and t, built for
-    this call; ``conclusion_arrow`` reads the memo of ``RW.code`` and
+    The member and premise fields are set lookups in the rule's premise facts
+    on each algebra (``_rule_facts``), built from the value tables of s and t
+    on the first check of the rule on ``ctx`` and kept in ``ctx.rule_facts``;
+    ``conclusion_arrow`` reads the memo of ``RW.code`` and
     ``conclusion_full`` one bit of ``RW.table(ctx, "d-only")``, row (a, b)
     and column (c, d), through ``RW.bit``.  A reported violation would indicate a framework bug,
     not a property of the inputs.
     """
-    alg_a, alg_b = ctx.alg_a, ctx.alg_b
-    s, t = rule.lhs, rule.rhs
-    variables = s.variables()
-    s_a, t_a = _tables(s, t, alg_a, variables)
-    s_b, t_b = (s_a, t_a) if alg_b is alg_a else _tables(s, t, alg_b, variables)
-    member = (a, b) in zip(s_a, t_a) and (c, d) in zip(s_b, t_b)
-    # e = u(x) has one solution over u's own variables exactly when e fills
-    # |U|^free cells of u's table over the variables of s, where free counts
-    # the variables of s that u lacks (none when u is s)
-    free = len(variables) - len(t.variables())
-
-    def unique(table: tuple, e: Element, alg: FiniteAlgebra, extra: int) -> bool:
-        return table.count(e) == len(alg.universe) ** extra
-
-    premise_arrow = member and unique(s_b, c, alg_b, 0)
-    premise_full = (
-        member
-        and unique(s_a, a, alg_a, 0)
-        and unique(t_a, b, alg_a, free)
-        and unique(s_b, c, alg_b, 0)
-        and unique(t_b, d, alg_b, free)
-    )
     # the arrow conclusion from the memo of arrow codes, the full one as one
     # bit of the decided quadruple table; neither builds a verdict
     conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING
     conclusion_full = RW.bit(ctx, "d-only")(a, b, c, d)
+    # the facts are stored only once built, and after the conclusions, so a
+    # call that raises stores nothing
+    name = str(rule)
+    facts = ctx.rule_facts.get(name)
+    if facts is None:
+        on_a = _rule_facts(rule, ctx.alg_a)
+        on_b = on_a if ctx.alg_b is ctx.alg_a else _rule_facts(rule, ctx.alg_b)
+        facts = ctx.rule_facts[name] = (name, on_a, on_b)
+    name, (pairs_a, once_s_a, once_t_a), (pairs_b, once_s_b, once_t_b) = facts
+    member = (a, b) in pairs_a and (c, d) in pairs_b
+    premise_arrow = member and c in once_s_b
+    premise_full = premise_arrow and a in once_s_a and b in once_t_a and d in once_t_b
     return UniquenessReport(
-        rule=str(rule),
+        rule=name,
         quadruple=(a, b, c, d),
         member=member,
         premise_arrow=premise_arrow,

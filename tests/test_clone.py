@@ -157,6 +157,15 @@ class TestGenerateClone:
                 )
                 assert composed in tables
 
+    def test_complete_from_two_variables_on_saturated_unary_clones(self, contexts):
+        for name in bundled_algebra_names():
+            assert contexts(name, max_vars=2).clone.complete, name
+            assert not contexts(name, max_vars=1).clone.complete, name
+        cut = generate_clone(bundled_algebra("PTRANS"), bounds=Bounds(max_depth=1))
+        assert not cut.saturated and not cut.complete
+        z3 = generate_clone(generated_algebra("Z3"), bounds=Bounds(max_vars=2))
+        assert z3.saturated and not z3.complete
+
     def test_class_cap(self):
         alg = bundled_algebra("PTRANS")
         with pytest.raises(ResourceLimitError) as raised:

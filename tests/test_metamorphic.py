@@ -25,14 +25,20 @@ def relation_pairs(ctx):
     return every, witnessed
 
 
-@pytest.mark.parametrize("name", [*bundled_algebra_names(), "CS3", "Z3", "A3:collapse-1"])
-def test_relation_classes_grow_with_the_variables(name):
+@pytest.mark.parametrize(
+    "name, counts",
+    [(name, (1, 2, 3)) for name in [*bundled_algebra_names(), "CS3", "Z3", "A3:collapse-1"]]
+    # with a constant, the empty occurrence set is a rewrite side
+    + [("CS3+z", (1, 2, 3)), ("PCOMM+z", (1, 2, 3)), ("CS4", (1, 2))],
+    ids=[*bundled_algebra_names(), "CS3", "Z3", "A3:collapse-1", "CS3+z", "PCOMM+z", "CS4"],
+)
+def test_relation_classes_grow_with_the_variables(name, counts):
     """A term over v variables is a term over v + 1 with the same relation,
     and a rewrite pair over v stays one over v + 1, so the relation classes
     at v, and the rewrite-witnessed ones, are among those at v + 1."""
     alg_a, alg_b = QUOTIENT_PAIRS[name] if name in QUOTIENT_PAIRS else (named_algebra(name), None)
     fewer = None
-    for max_vars in (1, 2, 3):
+    for max_vars in counts:
         ctx = build_pair_context(alg_a, alg_b, Bounds(max_vars=max_vars))
         assert ctx.saturated
         more = relation_pairs(ctx)

@@ -1,8 +1,13 @@
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
+from test_acceptance import rules_to_depth
 from test_arrow_memo import QUOTIENT_PAIRS
 
+from aprop.algebras import term_table
 from aprop.clone import Bounds, build_pair_context
 from aprop.proportion_rw import (
     RW,
@@ -15,7 +20,7 @@ from aprop.proportion_rw import (
     uniqueness_lemma_check,
 )
 from aprop.proportion_sim import is_characteristic_justification_set, proportion_sim
-from aprop.terms import ArrowPattern, RewriteRule, Var, parse_term
+from aprop.terms import App, ArrowPattern, RewriteRule, Var, parse_term
 from aprop.verdicts import HOLDING
 from aprop.verify import bundled_algebra, bundled_algebra_names
 
@@ -189,18 +194,20 @@ class TestUniquenessLemma:
         assert report.conclusion_arrow
 
 
+def pair_context(name):
+    """A bundled algebra's context, or a quotient pair's, at two variables."""
+    if name in QUOTIENT_PAIRS:
+        return build_pair_context(*QUOTIENT_PAIRS[name], Bounds(max_vars=2))
+    return build_pair_context(bundled_algebra(name), bounds=Bounds(max_vars=2))
+
+
 @pytest.mark.parametrize(
     "name", [*bundled_algebra_names(), "A3:collapse-1", "collapse-1:A3"]
 )
 def test_uniqueness_conclusions_are_those_of_rw(name):
     """conclusion_arrow and conclusion_full, read from the arrow-code memo and
     the quadruple table, are RW.code and RW.decider on a context of their own."""
-    def build():
-        if name in QUOTIENT_PAIRS:
-            return build_pair_context(*QUOTIENT_PAIRS[name], Bounds(max_vars=2))
-        return build_pair_context(bundled_algebra(name), bounds=Bounds(max_vars=2))
-
-    ctx, other = build(), build()
+    ctx, other = pair_context(name), pair_context(name)
     holds, rule = RW.decider(other, "d-only"), RewriteRule(Var(0), Var(0))
     A, B = ctx.alg_a.universe, ctx.alg_b.universe
     for a, b, c, d in itertools.product(A, A, B, B):
@@ -208,6 +215,92 @@ def test_uniqueness_conclusions_are_those_of_rw(name):
         code = RW.code((a, b), (c, d), other, "d-only")
         assert report.conclusion_arrow == (code[0] in HOLDING)
         assert report.conclusion_full == holds((a, b, c, d))
+
+
+def checked_quadruples(rule, side, rng):
+    """Every quadruple of ``side`` when there are at most 81; else 12 uniform
+    ones and 12 whose arrows the rule justifies on both algebras."""
+    A, B = side.alg_a.universe, side.alg_b.universe
+    every = list(itertools.product(A, A, B, B))
+    if len(every) <= 81:
+        return every
+    s, t = rule.lhs, rule.rhs
+    pairs = [
+        sorted(set(zip(term_table(s, alg, s.variables()), term_table(t, alg, s.variables()))))
+        for alg in (side.alg_a, side.alg_b)
+    ]
+    members = [ab + cd for ab in pairs[0] for cd in pairs[1]]
+    return rng.sample(every, 12) + rng.sample(members, min(12, len(members)))
+
+
+@pytest.mark.parametrize("name", ["EAABB", "PTRANS", "A3:collapse-1", "collapse-1:A3"])
+def test_uniqueness_reports_do_not_depend_on_earlier_checks(name):
+    """Every report field on a context that builds the rule's facts for the
+    check equals that on a context that already checked the rule on other
+    quadruples: every depth-2 rule, on ``ctx`` at (a, b, c, d) and on
+    ``ctx.swapped()`` at (c, d, a, b).  member and premise_full read both
+    algebras alike, so the two sides agree on them."""
+    ctx, other = pair_context(name), pair_context(name)
+    sides = ((ctx, other), (ctx.swapped(), other.swapped()))
+    rng, premises = random.Random(name), 0
+    for rule in rules_to_depth(ctx.alg_a.language):
+        quads = checked_quadruples(rule, ctx, rng)
+        a, b, c, d = quads[-1]
+        uniqueness_lemma_check(rule, a, b, c, d, ctx)
+        uniqueness_lemma_check(rule, c, d, a, b, ctx.swapped())
+        for a, b, c, d in quads:
+            both = []
+            for q, (warm, fresh) in zip(((a, b, c, d), (c, d, a, b)), sides):
+                report = uniqueness_lemma_check(rule, *q, warm)
+                fresh.rule_facts.clear()  # the check builds the rule's facts
+                assert uniqueness_lemma_check(rule, *q, fresh) == report
+                both.append((report.member, report.premise_full))
+                premises += report.premise_full
+            assert both[0] == both[1]
+    assert premises  # the premise paths were reached
+
+
+def test_equal_rules_share_one_entry():
+    ctx = pair_context("A2")
+    lang = ctx.alg_a.language
+    one, other = [RewriteRule(parse_term("x0", lang), parse_term("f(x0)", lang)) for _ in range(2)]
+    assert one == other and one is not other
+    assert uniqueness_lemma_check(one, "a", "b", "c", "c", ctx) == uniqueness_lemma_check(
+        other, "a", "b", "c", "c", ctx
+    )
+    assert list(ctx.rule_facts) == ["x0 ->> f(x0)"]
+
+
+def test_a_check_that_raises_stores_nothing():
+    ctx = pair_context("A2")
+    lang = ctx.alg_a.language
+    rule = RewriteRule(parse_term("x0", lang), parse_term("f(x0)", lang))
+    with pytest.raises(KeyError):
+        uniqueness_lemma_check(rule, "a", "b", "c", "z", ctx)  # z is no element
+    foreign = RewriteRule(Var(0), App("g", (Var(0),)))  # A2 has no op g
+    with pytest.raises(KeyError):
+        uniqueness_lemma_check(foreign, "a", "b", "c", "c", ctx)
+    assert ctx.rule_facts == {}
+
+
+@pytest.mark.parametrize("name", ["A2", "A3:collapse-0", "collapse-0:A3"])
+def test_a_dropped_context_that_checked_a_rule_is_freed_without_the_collector(name):
+    """The rule facts hold elements, sets and strings only, so a context that
+    has run a check, and its mirror, are freed as soon as they are dropped."""
+    gc.disable()
+    try:
+        ctx = pair_context(name)
+        sides = [ctx] if ctx.swapped() is ctx else [ctx, ctx.swapped()]
+        rule = RewriteRule(Var(0), App("f", (Var(0),)))
+        for side in sides:
+            A, B = side.alg_a.universe, side.alg_b.universe
+            uniqueness_lemma_check(rule, A[0], A[-1], B[0], B[-1], side)
+            assert side.rule_facts
+        refs = [weakref.ref(side) for side in sides]
+        del ctx, sides, side
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 class TestSolveRw:
