@@ -224,9 +224,14 @@ def _apply(op: tuple[int, int, bytes], tables: tuple[bytes, ...]) -> bytes:
     return bytes(map(codes.__getitem__, memoryview(lanes).cast(_FORMAT[width])))
 
 
+def _halves(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> tuple[FiniteAlgebra, ...]:
+    """The algebras of a build's halves: A on one algebra (it stands for B), A and B on two."""
+    return (alg_a,) if alg_b is alg_a else (alg_a, alg_b)
+
+
 def _names(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> str:
     """The algebras of a build, as its refusals name them."""
-    return repr(alg_a.name) if alg_b is alg_a else f"{alg_a.name!r} with {alg_b.name!r}"
+    return " with ".join(repr(alg.name) for alg in _halves(alg_a, alg_b))
 
 
 def generate_clone(
@@ -243,13 +248,15 @@ def generate_clone(
     under every operation of the language and represents the full term
     universe over v variables.
 
-    A level visits each tuple of child classes that holds a fresh support
-    once: the first class with one sits at position p, and only classes
-    without one come before it.  The head classes (all but the last) are
-    taken in product order, and each head tuple is one run: one ``_apply``
-    gives its results with every class of the last pool, and only that
-    run's results are held.  A slot keeps (term key, symbol, children); the
-    term itself is built when it commits.
+    A class is keyed by its tables over the build's halves (``_halves``):
+    one algebra, A, or two, A and B; one path serves both.  A level visits
+    each tuple of child classes that holds a fresh support once: the first
+    class with one sits at position p, and only classes without one come
+    before it.  The head classes (all but the last) are taken in product
+    order, and each head tuple is one run: one ``_apply`` per half gives its
+    results with every class of the last pool, and only that run's results
+    are held.  A slot keeps (term key, symbol, children); the term itself is
+    built when it commits.
     """
     start = time.process_time()
     if alg_b is None:
@@ -257,9 +264,8 @@ def generate_clone(
     if alg_a.language != alg_b.language:
         raise AlgebraSpecError("joint clone requires a common language")
     v = bounds.max_vars
-    same = alg_b is alg_a  # then every table_b is its table_a
-    names = _names(alg_a, alg_b)
-    for alg in (alg_a, alg_b):
+    halves = _halves(alg_a, alg_b)
+    for alg in halves:
         size = len(alg.universe)
         if size > 256:
             raise ResourceLimitError(f"algebra {alg.name!r}: the clone takes at most 256 elements")
@@ -270,15 +276,17 @@ def generate_clone(
                 f"algebra {alg.name!r}: {v} variables make tables of {size}^{v} rows,"
                 f" over the limit of {MAX_ROWS}"
             )
-    rows_a, rows_b = len(alg_a.universe) ** v, len(alg_b.universe) ** v
-    length = rows_a if same else rows_a + rows_b  # a class's table bytes
+    # Per half: the rows of its table, and the bytes of a key that hold it.
+    rows = [len(alg.universe) ** v for alg in halves]
+    cuts = list(map(slice, itertools.accumulate(rows, initial=0), itertools.accumulate(rows)))
+    length = sum(rows)  # a class's table bytes
     # the class count past which the class cap or the table bytes refuse
     most = min(bounds.class_cap, MAX_TABLE_BYTES // length)
     symbols = [(sym, rank) for sym, rank in alg_a.language.symbols if rank > 0]
-    ops_a = {sym: _op_lanes(alg_a, sym, rank) for sym, rank in symbols}
-    ops_b = ops_a if same else {sym: _op_lanes(alg_b, sym, rank) for sym, rank in symbols}
+    ops = {sym: [_op_lanes(alg, sym, rank) for alg in halves] for sym, rank in symbols}
+    decoders = [(alg.universe.__getitem__, cut) for alg, cut in zip(halves, cuts)]
 
-    # A class's key is its table_a, followed by its table_b on two algebras.
+    # A class's key is its halves' tables joined: A's, then B's on two algebras.
     classes: dict[bytes, DenotationClass] = {}
     # key -> {occurrence set: its witness's depth}, what pruning reads
     depths: dict[bytes, dict[frozenset[int], int]] = {}
@@ -289,22 +297,20 @@ def generate_clone(
     def interned(support: frozenset[int]) -> frozenset[int]:
         return occurrence_sets.setdefault(support, support)
 
-    def exceeded(depth: int) -> ResourceLimitError:
-        return ResourceLimitError(
-            f"class cap {bounds.class_cap} exceeded at depth {depth} on algebra {names}"
-        )
-
     def overfilled(count: int, depth: int) -> ResourceLimitError:
         if count > bounds.class_cap:
-            return exceeded(depth)
+            return ResourceLimitError(
+                f"class cap {bounds.class_cap} exceeded at depth {depth}"
+                f" on algebra {_names(alg_a, alg_b)}"
+            )
         return ResourceLimitError(
-            f"algebra {names}: {count} classes would hold {count * length} table bytes,"
-            f" over the limit of {MAX_TABLE_BYTES}"
+            f"algebra {_names(alg_a, alg_b)}: {count} classes would hold {count * length}"
+            f" table bytes, over the limit of {MAX_TABLE_BYTES}"
         )
 
     def overworked(level: int, work: int) -> ResourceLimitError:
         return ResourceLimitError(
-            f"algebra {names}: level {level} would visit {work} support"
+            f"algebra {_names(alg_a, alg_b)}: level {level} would visit {work} support"
             f" combinations, over the limit of {MAX_LEVEL_WORK}"
         )
 
@@ -319,9 +325,9 @@ def generate_clone(
             key, support = slot
             cls = classes.get(key)
             if cls is None:
-                table_a = tuple(map(alg_a.universe.__getitem__, key[:rows_a]))
-                table_b = table_a if same else tuple(map(alg_b.universe.__getitem__, key[rows_a:]))
-                cls = classes[key] = DenotationClass(table_a, table_b, depth)
+                # one tuple per half; on one algebra that one is table_a and table_b
+                tables = [tuple(map(get, key[cut])) for get, cut in decoders]
+                cls = classes[key] = DenotationClass(tables[0], tables[-1], depth)
                 depths[key] = {}
             known = cls.witnesses.get(support)
             if known is None:
@@ -335,36 +341,34 @@ def generate_clone(
     offers = []
     for sym, rank in alg_a.language.symbols:
         if rank == 0:
-            code_a = bytes([alg_a.index[alg_a.apply(sym, ())]])
-            code_b = code_a if same else bytes([alg_b.index[alg_b.apply(sym, ())]])
-            offers.append((App(sym), code_a * rows_a, code_b * rows_b, interned(frozenset())))
+            key = b"".join(bytes([alg.index[alg.apply(sym, ())]]) * r
+                           for alg, r in zip(halves, rows))
+            offers.append((App(sym), key, interned(frozenset())))
     # Level 0 fills v + k slots, k the distinct constant tables, so level 1
     # would visit (v + k)^rank combinations per symbol.  That is refused here,
     # before the v variables are built, unless level 0 exceeds the class cap
     # first: it has v + k classes, or one when every table has one row.
-    slots = v + len({(table_a, table_b) for _, table_a, table_b, _ in offers})
+    slots = v + len({key for _, key, _ in offers})
     work = sum(slots ** rank for _, rank in symbols)
     if (work > MAX_LEVEL_WORK and bounds.max_depth != 0
-            and (slots <= bounds.class_cap or rows_a * rows_b == 1)):
+            and (slots <= bounds.class_cap or max(rows) == 1)):
         raise overworked(1, work)
     if slots > MAX_LEVEL_ZERO:
         raise ResourceLimitError(
-            f"algebra {names}: level 0 would fill {slots} supports,"
+            f"algebra {_names(alg_a, alg_b)}: level 0 would fill {slots} supports,"
             f" over the limit of {MAX_LEVEL_ZERO}"
         )
     # Its classes are its slots, or one when every table has one row, and
     # so take a few bytes; their tables are refused before they are built.
     if slots * length > MAX_TABLE_BYTES:
         raise overfilled(slots, 0)
-    # the variables' tables: columns of the assignments' codes, in product order
-    columns_a, columns_b = (
-        list(map(bytes, zip(*itertools.product(range(len(alg.universe)), repeat=v))))
-        for alg in (alg_a, alg_b)
-    )
-    offers += [(Var(i), columns_a[i], columns_b[i], interned(frozenset([i]))) for i in range(v)]
+    # the variables' tables, per half: columns of the assignments' codes in product order
+    columns = [zip(*itertools.product(range(len(alg.universe)), repeat=v)) for alg in halves]
+    offers += [(Var(i), bytes(itertools.chain(*codes)), interned(frozenset([i])))
+               for i, codes in enumerate(zip(*columns))]
     least: dict = {}
-    for term, table_a, table_b, support in offers:
-        slot = (table_a if same else table_a + table_b, support)
+    for term, key, support in offers:
+        slot = (key, support)
         if slot not in least or term.key < least[slot][0]:
             least[slot] = (term.key, term, None)
     offered = len(offers)
@@ -387,9 +391,8 @@ def generate_clone(
             break
         start = time.process_time()
         # Each class as this level reads it, before it commits anything:
-        # (table_a, table_b, children), the tables as bytes cut from its key
-        # and a child being (occurrence set, depth, string, witness, fresh).
-        # A fresh child is a new support.
+        # (key, children), a child being (occurrence set, depth, string,
+        # witness, fresh).  A fresh child is a new support.
         fresh, old = [], []  # the classes with and without a fresh child
         for key, cls in classes.items():
             children, new = [], False
@@ -397,8 +400,7 @@ def generate_clone(
                 is_new = (key, support) in frontier
                 children.append((support, *term.key, term, is_new))
                 new |= is_new
-            tables = (key, key) if same else (key[:rows_a], key[rows_a:])
-            (fresh if new else old).append((*tables, children))
+            (fresh if new else old).append((key, children))
         everyone = old + fresh
         # The class tuples visited hold the support combinations with a fresh
         # child: a symbol of rank r visits |every|^r - |old|^r of them.
@@ -410,20 +412,19 @@ def generate_clone(
         least, offered = {}, 0
         new_keys = set()  # each becomes a class when the level commits
         for sym, rank in symbols:
-            op_a, op_b = ops_a[sym], ops_b[sym]
             # The head's children combined, one entry per combination:
             # (occurrence set, depth, "sym(s_1,...,s_k,", children, fresh).
             no_head = [(interned(frozenset()), 0, sym + "(", (), False)]
             for p in range(rank):
                 pools = [old] * p + [fresh] + [everyone] * (rank - p - 1)
-                last_a, last_b, last_members = zip(*pools.pop())
-                last_a = b"".join(last_a)
-                last_b = last_a if same else b"".join(last_b)
+                last_keys, last_members = zip(*pools.pop())
+                # per half: its op, its cut, its rows and the last pool's tables joined
+                lasts = [(op, cut, r, b"".join([key[cut] for key in last_keys]))
+                         for op, cut, r in zip(ops[sym], cuts, rows)]
                 n = len(last_members)
                 for head in itertools.product(*pools):
-                    heads, row = no_head, []
-                    for table_a, _, children in head:
-                        row.append(table_a * n)
+                    heads = no_head
+                    for _, children in head:
                         heads = [
                             (
                                 interned(support | s), max(deep, d), text + t + ",",
@@ -432,17 +433,13 @@ def generate_clone(
                             for support, deep, text, terms, new in heads
                             for s, d, t, w, f in children
                         ]
-                    results = _apply(op_a, (*row, last_a))
-                    if same:
-                        keys = [results[k:k + rows_a] for k in range(0, n * rows_a, rows_a)]
-                    else:
-                        row = [table_b * n for _, table_b, _ in head]
-                        results_b = _apply(op_b, (*row, last_b))
-                        keys = [
-                            results[k * rows_a:(k + 1) * rows_a]
-                            + results_b[k * rows_b:(k + 1) * rows_b]
-                            for k in range(n)
-                        ]
+                    # one application per half; each result's key joins its halves
+                    keys = None
+                    for op, cut, r, last in lasts:
+                        results = _apply(op, (*[key[cut] * n for key, _ in head], last))
+                        starts = range(0, n * r, r)
+                        keys = ([results[k:k + r] for k in starts] if keys is None else
+                                [key + results[k:k + r] for key, k in zip(keys, starts)])
                     for head_support, head_deep, text, head_terms, head_new in heads:
                         # a last child's occurrence set -> its union with the head's
                         unions: dict[frozenset[int], frozenset[int]] = {}
@@ -481,7 +478,7 @@ class _Arrows:
 
     def __init__(self, alg_a: FiniteAlgebra, alg_b: FiniteAlgebra):
         self.halves, self.count = [], 0  # count: the bits of a relation int
-        for alg in (alg_a,) if alg_b is alg_a else (alg_a, alg_b):
+        for alg in _halves(alg_a, alg_b):
             pairs = list(itertools.product(alg.universe, repeat=2))
             self.halves.append((alg, pairs, self.count))
             self.count += len(pairs)

@@ -331,15 +331,25 @@ class TestGenerateClone:
         assert result.levels[3].candidates == 19_110
         assert live["peak"] <= 2 * supports
 
-    @pytest.mark.parametrize("alg, max_vars, digest", [
-        (random_groupoid(2), 2, "9f114960694c294b5be159567d98aaef29f174e137862663195bf475d05b6f51"),
-        (generated_algebra("Z4"), 3,
+    @pytest.mark.parametrize("alg, alg_b, max_vars, digest", [
+        (random_groupoid(2), None, 2,
+         "9f114960694c294b5be159567d98aaef29f174e137862663195bf475d05b6f51"),
+        (generated_algebra("Z4"), None, 3,
          "be19c4d47c18beb43328a418589a100cd8cc8d163d238f9b20dc5f719a2eb59a"),
-    ], ids=["G3r2@2", "Z4@3"])
-    def test_build_is_pinned(self, alg, max_vars, digest):
+        # two algebras: unary ops with a quotient, binary ops on universes of
+        # different sizes, and one-byte op lanes beside two-byte relation keys
+        (bundled_algebra("A3"), quotient_homomorphisms(bundled_algebra("A3"))[1].target, 2,
+         "cfbad0d3954cf2fd0910f6d48cb2381c36bc51b2f7a3014655210aea95eefa0b"),
+        (generated_algebra("Z4"), generated_algebra("Z3"), 2,
+         "fcff0e2e85e43272c01c4f5bb3bd081d61fd2f62f50555632b05052ae5acd2af"),
+        (generated_algebra("Z5"), generated_algebra("Z16"), 1,
+         "3c66ad443e913c6d0eda50eb67ac315c9423c28f5638ef1ef68ef34ed85e2452"),
+    ], ids=["G3r2@2", "Z4@3", "A3:collapse-1@2", "Z4:Z3@2", "Z5:Z16@1"])
+    def test_build_is_pinned(self, alg, alg_b, max_vars, digest):
         """Every field but the CPU times, as the per-application enumeration
-        that kept one entry per class tuple built them."""
-        assert clone_digest(generate_clone(alg, bounds=Bounds(max_vars=max_vars))) == digest
+        that kept one entry per class tuple built them; the two-algebra cases
+        as the build with its own two-algebra path built them."""
+        assert clone_digest(generate_clone(alg, alg_b, Bounds(max_vars=max_vars))) == digest
 
     def test_grouping_beyond_the_pair_limit(self, monkeypatch):
         """|classes|^2 is known once the clone is built and is refused before

@@ -72,19 +72,31 @@ def test_unary_relation_classes_are_the_same_from_two_variables(name, counts):
     assert all(found == at[counts[0]] for found in at.values())
 
 
-@pytest.mark.parametrize("name", ["A2:collapse-3", "collapse-1:EAABB"])
-def test_relabeling_the_first_algebra_keeps_every_verdict(name):
+@pytest.mark.parametrize("name, policies", [
+    ("A2:collapse-3", POLICIES),
+    ("collapse-1:EAABB", POLICIES),
+    # binary, 144 classes and 90 relation classes: past the two-algebra oracle
+    ("Z4:Z3", ("all",)),
+], ids=["A2:collapse-3", "collapse-1:EAABB", "Z4:Z3"])
+def test_relabeling_the_first_algebra_keeps_every_verdict(name, policies):
     """An isomorphism h of A carries every term's table on A to its table on
     hA, so each relation class of (A, B) is one of (hA, B) with its A half
-    relabeled: a:b against c:d on (A, B) is ha:hb against c:d on (hA, B)."""
-    alg_a, alg_b = QUOTIENT_PAIRS[name]
+    relabeled: a:b against c:d on (A, B) is ha:hb against c:d on (hA, B)
+    under ``rw`` and under ``sim`` with the ``all`` policy.
+
+    Under ``literal`` the competitor skipped is the arrow of B with the left
+    arrow's element names, which relabeling A can move.  It holds for the two
+    quotient pairs here, but not in general: on ``Z4:Z3`` 11 of its 144
+    quadruples differ at this relabeling, and on ``A3:collapse-1`` some
+    differ at 6 of the seeds 0 to 7."""
+    alg_a, alg_b = QUOTIENT_PAIRS.get(name) or map(named_algebra, name.split(":"))
     h = random_relabeling(alg_a, random.Random(name))
     ctx = build_pair_context(alg_a, alg_b)
     relabeled = build_pair_context(h.target, alg_b)
     for a, b, c, d in itertools.product(alg_a.universe, alg_a.universe,
                                         alg_b.universe, alg_b.universe):
         image = (h(a), h(b), c, d)
-        for policy in POLICIES:
+        for policy in policies:
             assert bool(proportion_sim(a, b, c, d, ctx, policy)) == bool(
                 proportion_sim(*image, relabeled, policy)), (a, b, c, d, policy)
         assert bool(proportion_rw(a, b, c, d, ctx)) == bool(
