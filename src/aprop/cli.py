@@ -20,7 +20,13 @@ import functools
 import os
 import sys
 
-from .algebras import AlgebraSpecError, FiniteAlgebra, is_isomorphism, parse_spec_file
+from .algebras import (
+    AlgebraSpecError,
+    FiniteAlgebra,
+    is_homomorphism,
+    is_isomorphism,
+    parse_spec_file,
+)
 from .clone import Bounds, PairContext, ResourceLimitError, build_pair_context
 from .similarity import similar
 from .terms import TermSyntaxError
@@ -180,9 +186,13 @@ def cmd_iso(args) -> int:
     if args.mapping not in spec.mappings:
         raise AlgebraSpecError(f"no mapping named {args.mapping!r} in {args.spec}")
     h = spec.mappings[args.mapping]
+    if not is_homomorphism(h):
+        raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
+    # both checks read one context on (source, target)
+    ctx = build_pair_context(h.source, h.target, args.bounds)
     reports = [
-        check_isomorphism_lemma(h, args.bounds),
-        check_first_iso_theorem(h, args.bounds, args.competitors),
+        check_isomorphism_lemma(h, ctx=ctx),
+        check_first_iso_theorem(h, policy=args.competitors, ctx=ctx),
     ]
     if is_isomorphism(h):
         reports.append(check_second_iso_theorem(h, args.bounds, args.competitors))

@@ -636,6 +636,10 @@ class PairContext:
     # Beside it, the quadruple tables of this side read by the sweeps:
     # (arrow relation, policy) -> one int of (c, d) bits per row (a, b).
     quad_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The holding quadruple verdicts of this side, not shared with a mirror:
+    # (policy, first witness id or -1) -> the one ProportionVerdict built for
+    # it.  A verdict holds strings, ints and bools only, so it references no context.
+    holding_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The premise facts of ``proportion_rw.uniqueness_lemma_check`` on this
     # side, not shared with a mirror, as they are read in (A, B) order:
     # rule string -> (rule string, facts on A, facts on B), built by

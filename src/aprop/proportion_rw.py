@@ -164,13 +164,15 @@ def uniqueness_lemma_check(
     on the first check of the rule on ``ctx`` and kept in ``ctx.rule_facts``;
     ``conclusion_arrow`` reads the memo of ``RW.code`` and
     ``conclusion_full`` one bit of ``RW.table(ctx, "d-only")``, row (a, b)
-    and column (c, d), through ``RW.bit``.  A reported violation would indicate a framework bug,
+    and column (c, d).  A reported violation would indicate a framework bug,
     not a property of the inputs.
     """
     # the arrow conclusion from the memo of arrow codes, the full one as one
     # bit of the decided quadruple table; neither builds a verdict
     conclusion_arrow = RW.code((a, b), (c, d), ctx, "d-only")[0] in HOLDING
-    conclusion_full = RW.bit(ctx, "d-only")(a, b, c, d)
+    A, B = ctx.alg_a.index, ctx.alg_b.index
+    row = RW.table(ctx, "d-only")[A[a] * len(A) + A[b]]
+    conclusion_full = row >> B[c] * len(B) + B[d] & 1 == 1
     # the facts are stored only once built, and after the conclusions, so a
     # call that raises stores nothing
     name = str(rule)

@@ -7,9 +7,13 @@ lowest shared id or -1, position of the dominating competitor or -1).
 Arrow codes are memoized per context (a one-algebra context is its own
 mirror) a row at a time, in one dict per arrow relation and policy keyed by
 the four elements of the compared arrows; a ``ProportionVerdict`` is built
-from codes only when one is asked for.  The sweeps read a relation's
-quadruples from its table on a context side: one int bitmask per row
-(a, b), decided once from the codes.
+from codes only when one is asked for.  A quadruple verdict reads the two
+memos of its sides once.  A holding one depends only on its policy and the
+id of its first witness (-1 when there is none), so each context side keeps
+one per such key in ``holding_verdicts``, not shared with its mirror; a
+verdict holds strings, ints and bools only, so it references no context.
+The sweeps read a relation's quadruples from its table on a context side:
+one int bitmask per row (a, b), decided once from the codes.
 """
 
 from __future__ import annotations
@@ -38,14 +42,10 @@ def check_policy(policy: CompetitorPolicy) -> None:
         raise ValueError(f"unknown competitor policy {policy!r}")
 
 
-def _base(ctx, policy: str) -> dict:
-    """The fields every verdict decided on ``ctx`` shares."""
-    return dict(
-        exact=ctx.saturated,
-        max_vars=ctx.bounds.max_vars,
-        depth=ctx.clone.depth_reached,
-        policy=policy,
-    )
+def _base(ctx) -> tuple[bool, int, int]:
+    """The exact, max_vars and depth fields of every verdict decided on ``ctx``."""
+    clone = ctx.clone
+    return clone.saturated, clone.bounds.max_vars, clone.depth_reached
 
 
 def _decide(left: int, right: dict, competitors, skip) -> list[tuple[str, int, int]]:
@@ -121,7 +121,7 @@ class ProportionVerdict:
         """
         reason, low, pos = code
         if low < 0:
-            return cls(reason == "all-trivial", reason, **_base(ctx, policy))
+            return cls(reason == "all-trivial", reason, *_base(ctx), policy)
         shared = left & right[target]
         comparisons = []
         for e in islice(competitors, None if pos < 0 else pos + 1):
@@ -129,49 +129,54 @@ class ProportionVerdict:
                 sub = right[e] & shared == shared
                 comparisons.append(f"{label(e)}:{'sub' if sub else 'nosub'}")
         return cls(
-            pos < 0, reason, witness=str(witness(low)),
-            competitor=None if pos < 0 else label(e),
-            comparisons=tuple(comparisons), **_base(ctx, policy),
+            pos < 0, reason, *_base(ctx), policy, str(witness(low)),
+            None if pos < 0 else label(e), tuple(comparisons),
         )
 
     @classmethod
     def of_conjuncts(cls, relation: ArrowRelation, q, ctx, policy) -> ProportionVerdict:
         """a:b <sign> c:d from the four memoized codes of ``relation``.
 
-        The last two run on ``ctx.swapped()``, which is ``ctx`` itself on one
-        algebra, so all four read one memo there.  The first failing conjunct,
-        named ``ar1 <sign> ar2``, decides; else the first witness is kept.
-        Only the deciding conjunct's witness and competitor are formatted.
+        The first two are read from the memo of ``ctx``, the last two from
+        that of ``ctx.swapped()``, which is ``ctx`` itself on one algebra; a
+        code missing from its memo is decided by ``relation.code``.  The first
+        failing conjunct, named ``ar1 <sign> ar2``, decides, and only its
+        witness and competitor are formatted.  Else the verdict holds with the
+        first witness, and is the one ``ctx.holding_verdicts`` keeps for the
+        policy and that witness's id.
         """
         a, b, c, d = q
-        policy, swapped = relation.policy or policy, ctx.swapped()
+        policy, mirror = relation.policy or policy, ctx.swapped()
+        here, there = relation.memo(ctx, policy), relation.memo(mirror, policy)
         first = -1
-        for ar1, ar2, side in (
-            ((a, b), (c, d), ctx),
-            ((b, a), (d, c), ctx),
-            ((c, d), (a, b), swapped),
-            ((d, c), (b, a), swapped),
+        for memo, side, x, y, z, w in (
+            (here, ctx, a, b, c, d),
+            (here, ctx, b, a, d, c),
+            (there, mirror, c, d, a, b),
+            (there, mirror, d, c, b, a),
         ):
-            reason, low, pos = relation.code(ar1, ar2, side, policy)
+            reason, low, pos = memo.get((x, y, z, w)) or relation.code(
+                (x, y), (z, w), side, policy
+            )
             if reason not in HOLDING:
                 competitor = None
                 if pos >= 0:
-                    competitors = relation.operands(ar1, ar2, side, policy)[2]
+                    competitors = relation.operands((x, y), (z, w), side, policy)[2]
                     competitor = relation.label(next(islice(competitors, pos, None)))
                 return cls(
-                    False, "conjunct-failed",
-                    failed_conjunct=f"{ar1[0]}->{ar1[1]} {relation.sign} {ar2[0]}->{ar2[1]}",
-                    competitor=competitor,
-                    witness=None if low < 0 else str(ctx.relations[low]),
-                    **_base(ctx, policy),
+                    False, "conjunct-failed", *_base(ctx), policy,
+                    None if low < 0 else str(ctx.relations[low]), competitor, (),
+                    f"{x}->{y} {relation.sign} {z}->{w}",
                 )
             if first < 0:
                 first = low
-        return cls(
-            True, "maximal" if first >= 0 else "all-trivial",
-            witness=None if first < 0 else str(ctx.relations[first]),
-            **_base(ctx, policy),
-        )
+        verdict = ctx.holding_verdicts.get((policy, first))
+        if verdict is None:
+            verdict = ctx.holding_verdicts[policy, first] = cls(
+                True, "maximal" if first >= 0 else "all-trivial", *_base(ctx), policy,
+                None if first < 0 else str(ctx.relations[first]),
+            )
+        return verdict
 
 
 class ArrowRelation(NamedTuple):

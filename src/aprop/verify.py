@@ -500,17 +500,33 @@ class IsoReport:
     exact: bool
 
 
-def check_isomorphism_lemma(h: Mapping, bounds: Bounds | None = None) -> IsoReport:
+def _homomorphism_context(
+    h: Mapping, bounds: Bounds | None, ctx: PairContext | None
+) -> PairContext:
+    """The context on (h.source, h.target) of a check along ``h``: ``ctx`` when
+    given, else one built under ``bounds``."""
+    if not is_homomorphism(h):
+        raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
+    if ctx is None:
+        return build_pair_context(h.source, h.target, bounds or Bounds())
+    if ctx.alg_a is not h.source or ctx.alg_b is not h.target:
+        raise ValueError(f"the context is not on the source and target of {h.name!r}")
+    return ctx
+
+
+def check_isomorphism_lemma(
+    h: Mapping, bounds: Bounds | None = None, *, ctx: PairContext | None = None
+) -> IsoReport:
     """Justification transfer along a homomorphism, at the class level.
 
     Every joint relation class over (source, target) must satisfy: an arrow
     (a, b) in its source relation maps to (Ha, Hb) in its target relation.
-    For isomorphisms the two relations must agree up to relabeling.
+    For isomorphisms the two relations must agree up to relabeling.  ``ctx``,
+    when given, is the context on (h.source, h.target) to read instead of
+    building one under ``bounds``.
     """
-    if not is_homomorphism(h):
-        raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
+    ctx = _homomorphism_context(h, bounds, ctx)
     iso = is_isomorphism(h)
-    ctx = build_pair_context(h.source, h.target, bounds or Bounds())
     violations = []
     instances = 0
     for rc in ctx.relations:
@@ -530,13 +546,14 @@ def check_first_iso_theorem(
     h: Mapping,
     bounds: Bounds | None = None,
     policy: CompetitorPolicy = "literal",
+    *,
+    ctx: PairContext | None = None,
 ) -> IsoReport:
     """a -> b is related to Ha -> Hb whenever the emptiness premise holds;
-    for isomorphisms, a:b is proportional to Ha:Hb for all pairs."""
-    if not is_homomorphism(h):
-        raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
+    for isomorphisms, a:b is proportional to Ha:Hb for all pairs.  ``ctx`` is
+    as in ``check_isomorphism_lemma``."""
+    ctx = _homomorphism_context(h, bounds, ctx)
     iso = is_isomorphism(h)
-    ctx = build_pair_context(h.source, h.target, bounds or Bounds())
     cont_a, cont_b = ctx.cont_masks, ctx.swapped().cont_masks
     holds = SIM.decider(ctx, policy)
     violations = []

@@ -4,6 +4,7 @@ order in which verdicts were asked for.  The sweeps read booleans from it:
 they build no verdict, and ``compare_frameworks`` and ``check_axiom`` read
 tables that decide each quadruple once per side, relation and policy."""
 
+import functools
 import gc
 import itertools
 import random
@@ -36,6 +37,8 @@ POLICIES = ("literal", "all")
 
 
 def context(name: str):
+    if name in QUOTIENT_PAIRS:
+        return build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
     if name == "CS3@1":
         return build_pair_context(generated_algebra("CS3"), bounds=Bounds(max_vars=1))
     return build_pair_context(bundled_algebra(name), bounds=Bounds())
@@ -118,11 +121,11 @@ def test_an_arrow_verdict_builds_its_operands_once(monkeypatch):
         assert len(calls) == 1, memo
 
 
-@pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
+@pytest.mark.parametrize("name", ["EAABB", "CS3@1", "A3:collapse-1"])
 def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
     warm, fresh = context(name), context(name)
-    u = warm.alg_a.universe
-    quadruples = list(itertools.product(u, repeat=4))
+    A, B = warm.alg_a.universe, warm.alg_b.universe
+    quadruples = list(itertools.product(A, A, B, B))
     random.Random(7).shuffle(quadruples)
     for q in quadruples:
         for policy in POLICIES:
@@ -132,11 +135,13 @@ def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
     def from_fresh(decide, *args):
         for side in (fresh, fresh.swapped()):
             side.arrow_codes.clear()
+            side.holding_verdicts.clear()
         return decide(*args)
 
-    arrows = list(itertools.product(u, repeat=2))
     for side, fresh_side in ((warm, fresh), (warm.swapped(), fresh.swapped())):
-        for ar1, ar2 in itertools.product(arrows, repeat=2):
+        left = list(itertools.product(side.alg_a.universe, repeat=2))
+        right = list(itertools.product(side.alg_b.universe, repeat=2))
+        for ar1, ar2 in itertools.product(left, right):
             for policy in POLICIES:
                 assert arrow_lesssim(ar1, ar2, side, policy) == from_fresh(
                     arrow_lesssim, ar1, ar2, fresh_side, policy
@@ -150,6 +155,32 @@ def test_warm_memo_gives_the_verdicts_of_a_fresh_one(name):
                 proportion_sim, *q, fresh, policy
             )
         assert proportion_rw(*q, warm) == from_fresh(proportion_rw, *q, fresh)
+
+
+@pytest.mark.parametrize("name", ["EAABB", "CS3@1", "A3:collapse-1"])
+def test_holding_verdicts_with_one_first_witness_are_one_object(name):
+    """A side keeps one holding verdict per policy and first witness: two
+    holding quadruples with the same first witness get the same object, equal
+    to the verdicts of a fresh context.  The mirror keeps its own."""
+    ctx = context(name)
+    A, B = ctx.alg_a.universe, ctx.alg_b.universe
+    for decide in (
+        *(functools.partial(proportion_sim, policy=policy) for policy in POLICIES),
+        proportion_rw,
+    ):
+        by_witness = {}
+        for q in itertools.product(A, A, B, B):
+            verdict = decide(*q, ctx=ctx)
+            if verdict:
+                by_witness.setdefault(verdict.witness, []).append((q, verdict))
+        shared = [found for found in by_witness.values() if len(found) > 1]
+        assert shared
+        for (q1, first), (q2, second) in (found[:2] for found in shared):
+            assert first is second
+            assert first == decide(*q1, ctx=context(name)) == decide(*q2, ctx=context(name))
+    assert ctx.holding_verdicts
+    if ctx.swapped() is not ctx:
+        assert ctx.swapped().holding_verdicts == {}
 
 
 @pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
@@ -261,10 +292,7 @@ def test_solve_reads_the_verdicts(name):
     """solve_sim and solve_rw list the d in B whose quadruple verdict holds,
     for a, b in A and c in B; the two paths read two contexts, so neither
     sees the other's memo."""
-    if name in QUOTIENT_PAIRS:
-        fast, slow = (build_pair_context(*QUOTIENT_PAIRS[name], Bounds()) for _ in range(2))
-    else:
-        fast, slow = context(name), context(name)
+    fast, slow = context(name), context(name)
     A, B = fast.alg_a.universe, fast.alg_b.universe
     for a, b, c in itertools.product(A, A, B):
         for policy in POLICIES:
@@ -298,7 +326,8 @@ def test_a_dropped_one_algebra_context_is_freed_without_the_collector():
     try:
         ctx = context("A2")
         u = ctx.alg_a.universe
-        proportion_sim(*u[:2], *u[:2], ctx)
+        verdict = proportion_sim(*u[:2], *u[:2], ctx)
+        assert verdict in ctx.holding_verdicts.values()  # kept by ctx
         similar(u[0], u[1], ctx)
         solve_sim(*u[:3], ctx)
         check_axiom("p-symmetry", ctx)
@@ -332,7 +361,7 @@ def test_a_dropped_two_algebra_context_and_its_mirror_are_freed_without_the_coll
     cycle keeps either side alive once the context is dropped."""
     gc.disable()
     try:
-        ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
+        ctx = context(name)
         two_algebra_sweep(ctx)
         assert ctx.swapped() is not ctx and ctx.swapped().swapped() is ctx
         refs = [weakref.ref(ctx), weakref.ref(ctx.swapped())]
@@ -347,7 +376,7 @@ def test_a_mirror_kept_without_its_builder_decides_as_a_fresh_context(name):
     """A mirror whose builder is dropped builds a new partner and keeps it:
     the round trip, every verdict and the indexes hold as on a fresh (B, A)
     context, and dropping the mirror frees both."""
-    ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
+    ctx = context(name)
     two_algebra_sweep(ctx)
     m = ctx.swapped()
     b_views = {view: getattr(m, f"{view}_b") for view in ("cont", "jus", "elem_up")}
@@ -384,10 +413,7 @@ INDEX_VIEWS = ("cont_a", "cont_b", "jus_a", "jus_b", "elem_up_a", "elem_up_b")
 def test_verdicts_and_sweeps_read_masks_not_views(name):
     """Every verdict, solve, comparison and axiom reads the int masks: on a
     fresh context, neither side ever builds a decoded index view."""
-    if name in QUOTIENT_PAIRS:
-        ctx = build_pair_context(*QUOTIENT_PAIRS[name], Bounds())
-    else:
-        ctx = context(name)
+    ctx = context(name)
     A, B = ctx.alg_a.universe, ctx.alg_b.universe
     for policy in POLICIES:
         for q in itertools.product(A, A, B, B):

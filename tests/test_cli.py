@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import aprop.cli
+import aprop.verify
 from aprop.cli import main
 from aprop.clone import (
     MAX_GROUP_PAIRS, MAX_LEVEL_WORK, MAX_LEVEL_ZERO, MAX_TABLE_BYTES, Bounds,
@@ -189,6 +191,43 @@ class TestIso:
             "iso first-iso-theorem pass instances=18\n"
             "iso second-iso-theorem pass instances=81\n"
         )
+
+    QUOTIENT = (
+        "algebra S { universe: a, b, c, d; op f/1: a -> b, b -> a, c -> d, d -> c; }\n"
+        "algebra T { universe: p, q; op f/1: p -> q, q -> p; }\n"
+        "mapping h : S -> T { a -> p, b -> q, c -> p, d -> q }\n"
+        "mapping bad : S -> T { a -> p, b -> p, c -> p, d -> q }\n"
+    )
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (A, B) algebra names of every context the CLI and its checks build."""
+        built = []
+
+        def counted(alg_a, alg_b=None, *args, **kwargs):
+            built.append((alg_a.name, (alg_b or alg_a).name))
+            return build_pair_context(alg_a, alg_b, *args, **kwargs)
+
+        monkeypatch.setattr(aprop.cli, "build_pair_context", counted)
+        monkeypatch.setattr(aprop.verify, "build_pair_context", counted)
+        return built
+
+    def test_one_context_per_run_on_a_quotient(self, capsys, tmp_path, builds):
+        spec = tmp_path / "quotient.spec"
+        spec.write_text(self.QUOTIENT)
+        code, out, _ = run(capsys, "--format", "machine", "iso", str(spec), "h")
+        assert code == 0
+        assert out.startswith("iso isomorphism-lemma pass")
+        assert "iso first-iso-theorem pass" in out
+        assert builds == [("S", "T")]
+
+    def test_a_non_homomorphism_exits_2_before_any_build(self, capsys, tmp_path, builds):
+        spec = tmp_path / "quotient.spec"
+        spec.write_text(self.QUOTIENT)
+        code, out, err = run(capsys, "iso", str(spec), "bad")
+        assert (code, out) == (2, "")
+        assert err == "error: 'bad' is not a homomorphism\n"
+        assert builds == []
 
     def test_unknown_mapping(self, capsys, tmp_path):
         spec = tmp_path / "empty.spec"

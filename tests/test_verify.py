@@ -174,6 +174,22 @@ class TestIsomorphismChecks:
         with pytest.raises(AlgebraSpecError, match="'bad' is not a homomorphism"):
             check_first_iso_theorem(bad)
 
+    def test_a_given_context_is_read_and_a_foreign_one_refused(self):
+        """Both checks along h read a context on (h.source, h.target) when one
+        is given, with the reports of the contexts they build, and refuse one
+        on other algebras."""
+        for h in quotient_homomorphisms(bundled_algebra("A3")):
+            ctx = build_pair_context(h.source, h.target, Bounds())
+            assert check_isomorphism_lemma(h, ctx=ctx) == check_isomorphism_lemma(h)
+            for policy in ("literal", "all"):
+                assert check_first_iso_theorem(h, policy=policy, ctx=ctx) == (
+                    check_first_iso_theorem(h, policy=policy)
+                )
+            mirror = build_pair_context(h.target, h.source, Bounds())
+            for check in (check_isomorphism_lemma, check_first_iso_theorem):
+                with pytest.raises(ValueError):
+                    check(h, ctx=mirror)
+
     def test_collapse_keeps_inclusion(self):
         homs = quotient_homomorphisms(bundled_algebra("PCOMM"))
         assert homs
