@@ -188,14 +188,15 @@ def cmd_iso(args) -> int:
     h = spec.mappings[args.mapping]
     if not is_homomorphism(h):
         raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
-    # both checks read one context on (source, target)
+    # every check reads one context on (source, target); the second theorem
+    # reads it only on an automorphism, and builds its own two otherwise
     ctx = build_pair_context(h.source, h.target, args.bounds)
     reports = [
         check_isomorphism_lemma(h, ctx=ctx),
         check_first_iso_theorem(h, policy=args.competitors, ctx=ctx),
     ]
     if is_isomorphism(h):
-        reports.append(check_second_iso_theorem(h, args.bounds, args.competitors))
+        reports.append(check_second_iso_theorem(h, args.bounds, args.competitors, ctx=ctx))
     status = 0
     for report in reports:
         word = "pass" if report.ok else "fail"

@@ -672,6 +672,23 @@ class PairContext:
                 return dict(zip(pairs, _columns(keys, arrows.count, first, first + len(pairs))))
 
     @cached_property
+    def arrows(self) -> list[tuple[Element, Element]]:
+        """The arrows of A in bit order, (x, y) at x * |A| + y: the keys of
+        ``cont_masks``, held by the build's arrow numbering.  On the mirror
+        they are the competitors of every ``sim`` row."""
+        for alg, pairs, _ in self.clone._arrows.halves:
+            if alg is self.alg_a:
+                return pairs
+
+    @cached_property
+    def arrow_rows(self) -> dict[Element, list[tuple[Element, Element]]]:
+        """Element x -> the arrows x -> y of A in bit order, the slice of
+        ``arrows`` for row x.  On the mirror they are the competitors of every
+        ``rw`` row whose third element is x."""
+        n = len(self.alg_a.universe)
+        return {x: self.arrows[k * n : (k + 1) * n] for k, x in enumerate(self.alg_a.universe)}
+
+    @cached_property
     def jus_masks(self) -> dict[tuple[Element, Element], int]:
         """``cont_masks`` restricted to the rewrite-witnessed relation classes."""
         (rewritten,) = _columns([rc.has_rewrite_witness for rc in self.relations], 1, 0, 1)

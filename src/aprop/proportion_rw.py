@@ -9,7 +9,7 @@ similarity-based relation and the source of their divergence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
@@ -34,9 +34,9 @@ Arrow = tuple[Element, Element]
 
 
 def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: str) -> tuple:
-    # The competitors are the arrows c -> d' of B, c = ar2[0], in order.
-    competitors = [(ar2[0], d) for d in side.alg_b.universe]
-    return side.jus_masks[ar1], side.swapped().jus_masks, competitors, None
+    # The competitors are the arrows c -> d' of B, c = ar2[0], in bit order.
+    mirror = side.swapped()
+    return side.jus_masks[ar1], mirror.jus_masks, mirror.arrow_rows[ar2[0]], None
 
 
 RW = ArrowRelation(":.", "->".join, _operands, "d-only")
@@ -132,8 +132,7 @@ def _rule_facts(rule: RewriteRule, alg: FiniteAlgebra) -> tuple[set, set, set]:
     )
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     rule: str
     quadruple: tuple[Element, Element, Element, Element]
     member: bool

@@ -30,9 +30,9 @@ Arrow = tuple[Element, Element]
 
 
 def _operands(ar1: Arrow, ar2: Arrow, side: PairContext, policy: CompetitorPolicy) -> tuple:
-    # The competitors are every arrow of B: the keys of cont_b, in order.
-    right = side.swapped().cont_masks
-    return side.cont_masks[ar1], right, right, ar1 if policy == "literal" else None
+    # The competitors are every arrow of B, in bit order.
+    mirror, skip = side.swapped(), ar1 if policy == "literal" else None
+    return side.cont_masks[ar1], mirror.cont_masks, mirror.arrows, skip
 
 
 SIM = ArrowRelation("<~", "->".join, _operands)

@@ -9,8 +9,6 @@ symmetric conjunction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .algebras import Element, FiniteAlgebra, term_table
 from .clone import PairContext
 from .terms import Term
@@ -55,11 +53,11 @@ def similar(
     for x, y, side in ((a, b, ctx), (b, a, ctx.swapped())):
         verdicts.append(lesssim(x, y, side, policy))
         if not verdicts[-1]:
-            return replace(
-                verdicts[-1], reason="conjunct-failed", failed_conjunct=f"{x} <~ {y}",
-                witness=None, comparisons=(),
+            return verdicts[-1]._replace(
+                reason="conjunct-failed", failed_conjunct=f"{x} <~ {y}", witness=None,
+                comparisons=(),
             )
-    return replace(verdicts[0], comparisons=())
+    return verdicts[0]._replace(comparisons=())
 
 
 def generalizes(t: Term, a: Element, alg: FiniteAlgebra) -> bool:

@@ -14,12 +14,18 @@ one per such key in ``holding_verdicts``, not shared with its mirror; a
 verdict holds strings, ints and bools only, so it references no context.
 The sweeps read a relation's quadruples from its table on a context side:
 one int bitmask per row (a, b), decided once from the codes.
+
+``ProportionVerdict``, like the check records of ``proportion_rw`` and
+``verify``, is a ``NamedTuple``: immutable and hashable.  A copy with other
+fields is ``v._replace(...)``, not ``dataclasses.replace``, and a record
+compares equal to a plain tuple of the same values.  ``verify.IsoReport``
+stays a frozen dataclass, which equals no tuple, so a caller can tell a
+report from an ``(exception, message)`` tuple.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -83,8 +89,7 @@ def _decide(left: int, right: dict, competitors, skip) -> list[tuple[str, int, i
     return row
 
 
-@dataclass(frozen=True)
-class ProportionVerdict:
+class ProportionVerdict(NamedTuple):
     """A boolean decision plus the evidence it was reached with.
 
     ``reason`` is one of: all-trivial, maximal, empty-intersection,
@@ -101,7 +106,7 @@ class ProportionVerdict:
     policy: CompetitorPolicy = "literal"
     witness: str | None = None
     competitor: str | None = None
-    comparisons: tuple[str, ...] = field(default=())
+    comparisons: tuple[str, ...] = ()
     failed_conjunct: str | None = None
 
     def __bool__(self) -> bool:
@@ -159,10 +164,9 @@ class ProportionVerdict:
                 (x, y), (z, w), side, policy
             )
             if reason not in HOLDING:
-                competitor = None
-                if pos >= 0:
-                    competitors = relation.operands((x, y), (z, w), side, policy)[2]
-                    competitor = relation.label(next(islice(competitors, pos, None)))
+                competitor = None if pos < 0 else relation.label(
+                    relation.operands((x, y), (z, w), side, policy)[2][pos]
+                )
                 return cls(
                     False, "conjunct-failed", *_base(ctx), policy,
                     None if low < 0 else str(ctx.relations[low]), competitor, (),
@@ -184,8 +188,9 @@ class ArrowRelation(NamedTuple):
 
     ``operands(ar1, ar2, side, policy)`` gives the kernel's left id set, the
     right-hand index (both as int masks), the competitors of ``ar2`` (``ar2``
-    among them) as a re-iterable sequence and the competitor to skip, or
-    None.  ``label`` names a competitor arrow.  ``policy`` is the competitor policy every
+    among them) as a list the context side holds, so reading one by its
+    position builds nothing, and the competitor to skip, or None.  ``label``
+    names a competitor arrow.  ``policy`` is the competitor policy every
     verdict of the relation reports, or None when the caller's applies.
     """
 

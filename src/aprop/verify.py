@@ -91,8 +91,7 @@ FRAMEWORKS: dict[str, Framework] = {
 }
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(NamedTuple):
     """One of the twelve proportional axioms, stated in full as a join.
 
     ``join(rows, A, B, mirror=None)`` gives the first counterexample of the
@@ -317,8 +316,7 @@ AXIOM_SCHEMATA: dict[str, AxiomSchema] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     schema: str
     framework: str
     policy: CompetitorPolicy
@@ -407,8 +405,7 @@ def bundled_algebra(name: str) -> FiniteAlgebra:
     return spec.algebras[name]
 
 
-@dataclass(frozen=True)
-class VectorResult:
+class VectorResult(NamedTuple):
     line: int
     kind: str
     description: str
@@ -509,9 +506,13 @@ def _homomorphism_context(
         raise AlgebraSpecError(f"{h.name!r} is not a homomorphism")
     if ctx is None:
         return build_pair_context(h.source, h.target, bounds or Bounds())
+    _check_context(h, ctx)
+    return ctx
+
+
+def _check_context(h: Mapping, ctx: PairContext) -> None:
     if ctx.alg_a is not h.source or ctx.alg_b is not h.target:
         raise ValueError(f"the context is not on the source and target of {h.name!r}")
-    return ctx
 
 
 def check_isomorphism_lemma(
@@ -579,13 +580,27 @@ def check_second_iso_theorem(
     h: Mapping,
     bounds: Bounds | None = None,
     policy: CompetitorPolicy = "literal",
+    *,
+    ctx: PairContext | None = None,
 ) -> IsoReport:
-    """Proportion verdicts are invariant under isomorphic relabeling."""
+    """Proportion verdicts are invariant under isomorphic relabeling.
+
+    The verdicts are read on the one-algebra contexts of h.source and of
+    h.target.  When they are one algebra, one context serves both: ``ctx``
+    when given (as in ``check_isomorphism_lemma``, it is on (h.source,
+    h.target)), else one built under ``bounds``.  On two algebras ``ctx`` is
+    only checked, and both contexts are built.
+    """
     if not is_isomorphism(h):
         raise AlgebraSpecError(f"{h.name!r} is not an isomorphism")
+    if ctx is not None:
+        _check_context(h, ctx)
     b = bounds or Bounds()
-    ctx_a = build_pair_context(h.source, bounds=b)
-    ctx_b = build_pair_context(h.target, bounds=b)
+    if h.source is h.target:
+        ctx_a = ctx_b = ctx or build_pair_context(h.source, bounds=b)
+    else:
+        ctx_a = build_pair_context(h.source, bounds=b)
+        ctx_b = build_pair_context(h.target, bounds=b)
     here, there = SIM.bit(ctx_a, policy), SIM.bit(ctx_b, policy)
     violations = []
     instances = 0

@@ -186,13 +186,13 @@ def test_holding_verdicts_with_one_first_witness_are_one_object(name):
 @pytest.mark.parametrize("name", ["EAABB", "CS3@1"])
 def test_sweeps_build_no_verdict(name, monkeypatch):
     built = []
-    init = ProportionVerdict.__init__
+    new = ProportionVerdict.__new__
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ProportionVerdict, "__init__", counted_init)
+    monkeypatch.setattr(ProportionVerdict, "__new__", counted_new)
     ctx = context(name)
     sweep(ctx)
     u = ctx.alg_a.universe

@@ -175,12 +175,14 @@ class TestAxioms:
 
 
 class TestIso:
+    SWAP = (
+        "algebra S { universe: a, c, d; op f/1: a -> a, c -> d, d -> c; }\n"
+        "mapping swap : S -> S { a -> a, c -> d, d -> c }\n"
+    )
+
     def test_mapping_from_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "swap.spec"
-        spec.write_text(
-            "algebra S { universe: a, c, d; op f/1: a -> a, c -> d, d -> c; }\n"
-            "mapping swap : S -> S { a -> a, c -> d, d -> c }\n"
-        )
+        spec.write_text(self.SWAP)
         code, out, _ = run(capsys, "iso", str(spec), "swap")
         assert code == 0
         assert "second-iso-theorem: pass" in out
@@ -220,6 +222,14 @@ class TestIso:
         assert out.startswith("iso isomorphism-lemma pass")
         assert "iso first-iso-theorem pass" in out
         assert builds == [("S", "T")]
+
+    def test_one_context_per_run_on_an_automorphism(self, capsys, tmp_path, builds):
+        spec = tmp_path / "swap.spec"
+        spec.write_text(self.SWAP)
+        code, out, _ = run(capsys, "--format", "machine", "iso", str(spec), "swap")
+        assert code == 0
+        assert "iso second-iso-theorem pass instances=81" in out
+        assert builds == [("S", "S")]
 
     def test_a_non_homomorphism_exits_2_before_any_build(self, capsys, tmp_path, builds):
         spec = tmp_path / "quotient.spec"

@@ -190,6 +190,22 @@ class TestIsomorphismChecks:
                 with pytest.raises(ValueError):
                     check(h, ctx=mirror)
 
+    def test_the_second_theorem_reads_a_given_context_on_an_automorphism(self):
+        """On an automorphism the given context is the one context of both
+        sides, with the reports of the one the check builds; one on other
+        algebras is refused."""
+        alg = bundled_algebra("SIREFL")
+        swap = Mapping("swap", alg, alg, {"a": "a", "c": "d", "d": "c"})
+        ctx = build_pair_context(alg, alg, Bounds())
+        for policy in ("literal", "all"):
+            assert check_second_iso_theorem(swap, policy=policy, ctx=ctx) == (
+                check_second_iso_theorem(swap, policy=policy)
+            )
+        assert ctx.quad_tables
+        other = build_pair_context(bundled_algebra("A2"), bounds=Bounds())
+        with pytest.raises(ValueError):
+            check_second_iso_theorem(swap, ctx=other)
+
     def test_collapse_keeps_inclusion(self):
         homs = quotient_homomorphisms(bundled_algebra("PCOMM"))
         assert homs
